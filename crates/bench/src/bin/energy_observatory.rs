@@ -3,35 +3,17 @@
 //! [-- --out FILE --csv FILE]`
 //! (set `MPACCEL_BENCH_SCALE=full` for paper-scale workloads).
 
-fn main() {
-    let scale = mp_bench::Scale::from_env();
-    let report = mp_bench::experiments::energy_observatory::run(scale);
+use std::process::ExitCode;
+
+use mp_bench::cli::{self, Flags};
+
+fn run() -> Result<(), ExitCode> {
+    let flags = Flags::parse("energy_observatory", &["--out", "--csv"])?;
+    let report = mp_bench::experiments::energy_observatory::run(mp_bench::Scale::from_env());
     println!("{report}");
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let write = |path: &str, text: String| {
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("error: could not write {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match args[i].as_str() {
-            "--out" if i + 1 < args.len() => {
-                i += 1;
-                write(&args[i], report.to_string());
-            }
-            "--csv" if i + 1 < args.len() => {
-                i += 1;
-                write(&args[i], report.to_csv());
-            }
-            other => {
-                eprintln!(
-                    "unknown or incomplete flag `{other}` (supported: --out FILE, --csv FILE)"
-                );
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    flags.write_report(&report)
+}
+
+fn main() -> ExitCode {
+    cli::exit_code(run())
 }

@@ -14,25 +14,10 @@ fn main() {
     let scale = mp_bench::Scale::from_env();
     let pool = ThreadPool::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let list = if args.is_empty() {
-        engine::experiments()
-    } else {
-        let names: Vec<&str> = args.iter().map(String::as_str).collect();
-        match engine::select(&names) {
-            Ok(list) => list,
-            Err(unknown) => {
-                eprintln!(
-                    "unknown experiment `{unknown}`; available: {}",
-                    engine::experiments()
-                        .iter()
-                        .map(|x| x.name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                std::process::exit(2);
-            }
-        }
-    };
+    let list = engine::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let summary = engine::run_selected(&list, scale, &pool);
     println!("{}", summary.timing_report());
     match engine::write_bench_json(&summary) {

@@ -86,6 +86,26 @@ pub fn select(names: &[&str]) -> Result<Vec<Experiment>, String> {
         .collect()
 }
 
+/// Resolves command-line experiment names; no names means the whole
+/// suite.
+///
+/// # Errors
+///
+/// Names the first unknown experiment and lists the available ones.
+pub fn from_args(args: &[String]) -> Result<Vec<Experiment>, String> {
+    if args.is_empty() {
+        return Ok(experiments());
+    }
+    let names: Vec<&str> = args.iter().map(String::as_str).collect();
+    select(&names).map_err(|unknown| {
+        let names: Vec<&str> = experiments().iter().map(|x| x.name).collect();
+        format!(
+            "unknown experiment `{unknown}`; available: {}",
+            names.join(", ")
+        )
+    })
+}
+
 /// One experiment's report plus its wall-clock.
 #[derive(Clone, Debug)]
 pub struct ExperimentResult {

@@ -2,10 +2,10 @@
 //! paper's evaluation (§7).
 //!
 //! Each experiment lives in [`experiments`] as a pure function returning a
-//! [`report::Report`]; thin binaries in `src/bin/` print them
-//! (`cargo run -p mp-bench --release --bin fig07`), Criterion benches in
-//! `benches/` time the underlying simulations, and the experiment index in
-//! `DESIGN.md` maps paper artifacts to these targets.
+//! [`report::Report`]; `--bin all` prints every report, or the named ones
+//! (`cargo run -p mp-bench --release --bin all -- fig07`), Criterion
+//! benches in `benches/` time the underlying simulations, and the
+//! experiment index in `DESIGN.md` maps paper artifacts to these targets.
 //!
 //! Workload sizes honour the `MPACCEL_BENCH_SCALE` environment variable:
 //! `quick` (default for tests) or `full` (paper-scale: 10 scenes × 100
@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod engine;
 pub mod experiments;
 pub mod report;

@@ -5,7 +5,7 @@
 //! contract — recording must not perturb the simulation or the rendered
 //! soak report.
 
-use mp_bench::experiments::soak;
+use mp_bench::experiments::{fleet, soak};
 use mp_bench::Scale;
 use threadpool::ThreadPool;
 
@@ -75,4 +75,42 @@ fn tracing_does_not_perturb_the_simulation_or_the_report() {
         before, after,
         "a trace capture must not change the soak report"
     );
+}
+
+#[test]
+fn shard_events_are_service_category_and_router_events_fleet() {
+    // One naming scheme for both entry points: what a shard does (serve
+    // spans, sheds, quarantines, deadline misses) is `service`, whether
+    // the shard runs alone or in a fleet; only the router's decisions
+    // (hedges, throttling, shard crash and rejoin) are `fleet`.
+    let (session, summary) = fleet::capture_trace(Scale::Quick, &ThreadPool::new(2));
+    assert!(summary.shard_kills > 0 && summary.hedges_fired > 0);
+    // The ring keeps the run's tail; the flight-recorder snapshots keep
+    // what led up to each incident (the crashes among them).
+    let events: Vec<_> = session
+        .streams()
+        .into_iter()
+        .flat_map(|s| {
+            s.events
+                .into_iter()
+                .chain(s.incidents.into_iter().flat_map(|i| i.events))
+        })
+        .filter(|e| e.cat == "service" || e.cat == "fleet")
+        .collect();
+    let cat_of = |name: &str| {
+        let mut cats: Vec<&str> = events
+            .iter()
+            .filter(|e| e.name == name)
+            .map(|e| e.cat)
+            .collect();
+        cats.sort_unstable();
+        cats.dedup();
+        cats
+    };
+    for name in ["serve", "shed_queue_full", "shed_hopeless"] {
+        assert_eq!(cat_of(name), ["service"], "`{name}` is shard-level");
+    }
+    for name in ["hedge_fired", "shard_crash", "shard_rejoin"] {
+        assert_eq!(cat_of(name), ["fleet"], "`{name}` is router-level");
+    }
 }

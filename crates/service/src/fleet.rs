@@ -3,7 +3,9 @@
 //!
 //! A fleet is N independent shards, each a full single-shard service
 //! (bounded queue, dispatcher, accelerator pool, fault injectors,
-//! degradation ladder, circuit breakers), joined by a router:
+//! degradation ladder, circuit breakers, integrity defenses), joined by a
+//! router. This is the crate's only event loop: [`crate::run_service`] is
+//! a one-shard fleet with hedging, failover and fairness off.
 //!
 //! ```text
 //!  tenants ─► token buckets ─► consistent-hash ring ─► shard 0..N
@@ -42,20 +44,19 @@
 //! configuration — byte-identical on any machine at any thread count.
 
 use mp_planner::QualityTier;
-use mp_sim::fault::{FaultInjector, FaultKind, ShardFaultKind, ShardFaultPlan};
+use mp_sim::fault::{
+    FaultInjector, FaultKind, FaultPlan, SdcPlan, ShardFaultEvent, ShardFaultKind, ShardFaultPlan,
+};
 use mp_sim::vtime::{EventQueue, VirtualNs, NS_PER_US};
-use mp_telemetry::{self as telemetry, arg2, ArgValue, IncidentKind, Lane};
+use mp_telemetry::{self as telemetry, arg1, arg2, ArgValue, Args, IncidentKind, Lane};
 use mpaccel_core::pool::AcceleratorPool;
 
 use crate::catalog::PlanCatalog;
 use crate::integrity::IntegrityState;
 use crate::metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
 use crate::request::{Request, ShedReason, TenantSpec, Verdict};
-use crate::ring::HashRing;
-use crate::service::{
-    build_injectors, build_integrity, choose_tier, mix, roll_dispatch_fault, service_time_ns,
-    us_to_ns, ServiceConfig, BENCH_HORIZON_NS,
-};
+use crate::ring::{mix, HashRing};
+use crate::service::ServiceConfig;
 use crate::tenant::{FairQueue, TenantPolicy, TokenBucket};
 
 /// Hedged-request policy.
@@ -143,54 +144,110 @@ impl Default for FleetConfig {
     }
 }
 
+/// Payloads are small indices so an event stays 16 bytes: the event heap
+/// moves one on every push and pop.
 enum Event {
     /// A request reaches the fleet door: admission, routing, enqueue.
-    Arrive(usize),
+    Arrive(u32),
     /// A request copy (re-)enters shard `shard`'s queue (retry backoff,
     /// tier step-down, failover re-route).
-    Enqueue { shard: usize, req: usize },
-    /// Shard `shard`'s instance `inst` finishes a dispatch begun in
-    /// epoch `epoch` at tier `tier` (stale epochs are crash casualties).
-    /// The rolled fault and tier ride in the event: an instance freed at
-    /// exactly this timestamp can be re-acquired by an earlier-queued
-    /// event before this one pops, so the inflight slot may already hold
-    /// the next dispatch.
-    Complete {
-        shard: usize,
-        inst: usize,
-        req: usize,
-        epoch: u32,
-        tier: usize,
-        token: u64,
-        fault: Option<FaultKind>,
-        voted: bool,
-    },
+    Enqueue { shard: u32, req: u32 },
+    /// A shard instance finishes a dispatch.
+    Complete(Dispatch),
     /// Re-run the given shard's dispatcher (quarantine expiry / busy
     /// instance freed).
-    Wake(usize),
+    Wake(u32),
     /// Hedge check: duplicate the request if it is still unresolved.
-    Hedge(usize),
+    Hedge(u32),
     /// Index into the precomputed chaos schedule fires.
-    Chaos(usize),
+    Chaos(u32),
     /// A crashed shard comes back.
-    Rejoin(usize),
+    Rejoin(u32),
     /// Run one known-answer scrub probe against a benched instance of the
     /// given shard.
-    Scrub { shard: usize, inst: usize },
+    Scrub { shard: u32, inst: u32 },
+}
+
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+
+/// One dispatch, carried by its completion event. The rolled fault, vote
+/// and tier ride along: an instance freed at exactly the completion's
+/// timestamp can be re-acquired by an earlier-queued event before the
+/// completion pops, so the instance's in-flight slot may already hold
+/// the next dispatch.
+#[derive(Clone, Copy)]
+struct Dispatch {
+    shard: u16,
+    inst: u16,
+    req: u32,
+    /// Shard crash epoch at dispatch; completions from older epochs are
+    /// crash casualties.
+    epoch: u32,
+    tier: u8,
+    fault: Option<FaultKind>,
+    voted: bool,
+}
+
+/// An idle in-flight slot.
+const IDLE: (u32, VirtualNs) = (u32::MAX, 0);
+
+/// Bench horizon for integrity quarantines: far enough that only a scrub
+/// readmission brings the instance back, finite so pool arithmetic never
+/// overflows.
+const BENCH_HORIZON_NS: VirtualNs = VirtualNs::MAX / 4;
+
+fn us_to_ns(us: f64) -> VirtualNs {
+    (us * NS_PER_US as f64).round().max(1.0) as VirtualNs
+}
+
+/// Exact service time (ns) of catalog `key` at ladder index `tier_idx`,
+/// before any fault slowdown.
+fn service_time_ns(catalog: &PlanCatalog, key: usize, tier_idx: usize) -> VirtualNs {
+    us_to_ns(
+        catalog
+            .entry(key, QualityTier::from_index(tier_idx))
+            .modeled_us,
+    )
+}
+
+/// The dispatcher's tier decision for one request: the congestion
+/// controller's base tier, raised to the request's floor from failed
+/// attempts, then stepped down the ladder until the tier fits the
+/// remaining slack. `None` means no admissible tier fits (the
+/// hopeless-shed case; never returned when admission control is off).
+fn choose_tier(
+    catalog: &PlanCatalog,
+    cfg: &ServiceConfig,
+    req: &Request,
+    queued: usize,
+    healthy: usize,
+    now: VirtualNs,
+) -> Option<usize> {
+    let base = cfg.degrade.load_tier(queued, healthy);
+    let mut tier_idx = base.index().max(req.tier_floor);
+    if cfg.admission {
+        let slack = req.slack_ns(now);
+        while cfg.degrade.enabled
+            && tier_idx + 1 < QualityTier::COUNT
+            && service_time_ns(catalog, req.key, tier_idx) > slack
+        {
+            tier_idx += 1;
+        }
+        if service_time_ns(catalog, req.key, tier_idx) > slack {
+            return None;
+        }
+    }
+    Some(tier_idx)
 }
 
 /// Fleet-side per-request state (the [`Request`] itself carries the
-/// single-shard fields).
-#[derive(Clone, Debug)]
+/// per-shard fields).
+#[derive(Clone, Debug, Default)]
 struct ReqState {
-    /// Ring route key (`(tenant, catalog key)` hashed by the ring).
-    route_key: u64,
     /// Shard the request was first enqueued on.
-    primary: usize,
-    /// Whether a hedge duplicate was fired.
-    hedged: bool,
-    /// Shard the hedge duplicate landed on, for win attribution.
-    twin: Option<usize>,
+    primary: u32,
+    /// Shard the hedge duplicate landed on, once one fired.
+    twin: Option<u32>,
     /// Live copies (queued or in flight) across shards. When the last
     /// copy dies without a completion, the request resolves failed.
     copies: u32,
@@ -198,66 +255,32 @@ struct ReqState {
     failovers: u32,
 }
 
-struct Shard {
-    queue: FairQueue,
-    pool: AcceleratorPool,
-    injectors: Vec<FaultInjector>,
-    /// Silent-corruption streams, suspicion scoreboard, and scrub state
-    /// for this shard's instances. Survives crash epochs: SDC is a
-    /// property of the silicon, not of the queue the crash wiped.
-    integrity: IntegrityState,
-    /// Per-instance `(request, dispatch token)` for the running dispatch
-    /// (`usize::MAX` when idle); the token disambiguates back-to-back
-    /// dispatches that share a timestamp.
-    inflight: Vec<(usize, u64)>,
-    /// Monotone per-shard dispatch counter feeding the tokens.
-    dispatch_seq: u64,
-    /// Earliest outstanding wake, as in the single-shard loop.
-    wake_at: Option<VirtualNs>,
-    alive: bool,
-    /// Crash epoch; completions from older epochs are ignored.
-    epoch: u32,
-    /// Dispatches begun before this instant run `stall_factor`× slower.
-    stall_until: VirtualNs,
-    stall_factor: u64,
-    /// Until this instant the shard reports itself overloaded to the
-    /// router (post-rejoin catch-up).
-    catchup_until: VirtualNs,
-    /// Pool busy-ns / quarantines accumulated across crash epochs (the
-    /// pool itself is rebuilt on every crash).
-    busy_accum: u64,
-    quar_accum: u64,
-    stats: ShardStats,
-    latencies: Vec<VirtualNs>,
+/// A request's ring route key: its `(tenant, catalog key)` pair.
+fn route_key(req: &Request) -> u64 {
+    ((req.tenant as u64) << 40) ^ req.key as u64
 }
 
-struct Fleet<'a> {
+/// Run-wide state the shards and the router share: the requests, the
+/// event queue, and the fleet and tenant ledgers.
+struct Core<'a> {
     catalog: &'a PlanCatalog,
-    cfg: &'a FleetConfig,
-    ring: HashRing,
+    /// The per-shard service configuration.
+    cfg: &'a ServiceConfig,
     reqs: Vec<Request>,
     states: Vec<ReqState>,
-    shards: Vec<Shard>,
-    buckets: Vec<Option<TokenBucket>>,
     events: EventQueue<Event>,
-    chaos: Vec<mp_sim::fault::ShardFaultEvent>,
     summary: FleetSummary,
     tenants: Vec<TenantStats>,
     tenant_lat: Vec<Vec<VirtualNs>>,
-    latencies: Vec<VirtualNs>,
     /// Requests resolved so far; once every request has a verdict the
     /// scrub schedules stop re-arming and the event queue drains.
     resolved: usize,
+    /// Whether a telemetry stream is installed, sampled once per run so
+    /// an untraced run never touches the thread-local sink.
+    traced: bool,
 }
 
-impl Fleet<'_> {
-    fn schedule_wake(&mut self, s: usize, at: VirtualNs) {
-        if self.shards[s].wake_at.is_none_or(|w| at < w) {
-            self.shards[s].wake_at = Some(at);
-            self.events.push(at, Event::Wake(s));
-        }
-    }
-
+impl Core<'_> {
     fn resolve(&mut self, id: usize, verdict: Verdict) {
         debug_assert!(self.reqs[id].verdict.is_none(), "request resolved twice");
         let t = self.reqs[id].tenant;
@@ -302,65 +325,636 @@ impl Fleet<'_> {
         }
     }
 
-    /// Per-shard router load: queued plus running copies, inflated for
-    /// shards still in their post-rejoin catch-up window.
-    fn loads(&self, now: VirtualNs) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|sh| {
-                let running = sh.inflight.iter().filter(|e| e.0 != usize::MAX).count();
-                let mut l = sh.queue.len() + running;
-                if now < sh.catchup_until {
-                    l += self.cfg.shard.queue_capacity.max(8);
-                }
-                l
+    /// A shard-level trace point: a `service` instant named after `kind`
+    /// plus a flight-recorder incident of that kind. No-op untraced.
+    fn trace(&self, kind: IncidentKind, args: Args, detail: std::fmt::Arguments<'_>) {
+        if self.traced {
+            telemetry::instant_args("service", kind.label(), args);
+            telemetry::incident_kind(kind, &detail.to_string());
+        }
+    }
+}
+
+/// One shard's state machine: bounded queue, accelerator pool, fault
+/// injectors, integrity state and in-flight table.
+struct Shard {
+    index: u32,
+    queue: FairQueue,
+    pool: AcceleratorPool,
+    injectors: Vec<FaultInjector>,
+    /// Silent-corruption streams, suspicion scoreboard, and scrub state
+    /// for this shard's instances. Survives crash epochs: SDC is a
+    /// property of the silicon, not of the queue the crash wiped.
+    integrity: IntegrityState,
+    /// Per-instance `(request, start time)` of the running dispatch
+    /// ([`IDLE`] when idle); the start time tells a completion's own
+    /// dispatch from one begun at the completion's timestamp.
+    inflight: Vec<(u32, VirtualNs)>,
+    /// Earliest outstanding [`Event::Wake`], if any. Without this guard
+    /// every stalled dispatch would push a fresh wake and overload runs
+    /// would drown in duplicate wake events.
+    wake_at: Option<VirtualNs>,
+    alive: bool,
+    /// Crash epoch; completions from older epochs are ignored.
+    epoch: u32,
+    /// Dispatches begun before this instant run `stall_factor`× slower.
+    stall_until: VirtualNs,
+    stall_factor: u64,
+    /// Until this instant the shard reports itself overloaded to the
+    /// router (post-rejoin catch-up).
+    catchup_until: VirtualNs,
+    /// Pool busy-ns / quarantines accumulated across crash epochs (the
+    /// pool itself is rebuilt on every crash).
+    busy_accum: u64,
+    quar_accum: u64,
+    stats: ShardStats,
+    latencies: Vec<VirtualNs>,
+}
+
+impl Shard {
+    /// Shard `index` of a fleet. `salt` separates the shard's seeded
+    /// fault and silent-corruption streams from every other shard's.
+    fn new(index: usize, cfg: &FleetConfig, weights: &[u64], salt: u64) -> Shard {
+        let sc = &cfg.shard;
+        let faults = &sc.faults;
+        let injectors = (0..sc.instances)
+            .map(|i| {
+                let lemon = if faults.lemon == Some(i) {
+                    faults.lemon_factor
+                } else {
+                    1.0
+                };
+                FaultInjector::new(FaultPlan::uniform(
+                    (faults.rate_per_kind * lemon).min(0.9),
+                    mix(cfg.seed ^ 0xFA17_0000 ^ (salt << 8) ^ i as u64),
+                ))
             })
-            .collect()
+            .collect();
+        let sdc = SdcPlan {
+            seed: mix(cfg.seed ^ 0x5DC0_0000 ^ (salt << 8)),
+            verdict_flip_rate: faults.sdc_rate,
+            memo_corrupt_rate: 0.0,
+            node_corrupt_rate: 0.0,
+        };
+        // The naive baseline queues without bound (capped only to keep
+        // the share arithmetic in range).
+        let capacity = if sc.admission {
+            sc.queue_capacity
+        } else {
+            1 << 32
+        };
+        Shard {
+            index: index as u32,
+            queue: FairQueue::new(sc.policy, capacity, weights, cfg.fairness),
+            pool: AcceleratorPool::new(sc.instances),
+            injectors,
+            integrity: IntegrityState::new(
+                sc.integrity,
+                sdc,
+                sc.instances,
+                faults.sdc_hot,
+                faults.sdc_hot_factor,
+                salt,
+            ),
+            inflight: vec![IDLE; sc.instances],
+            wake_at: None,
+            alive: true,
+            epoch: 0,
+            stall_until: 0,
+            stall_factor: 1,
+            catchup_until: 0,
+            busy_accum: 0,
+            quar_accum: 0,
+            stats: ShardStats::default(),
+            latencies: Vec::new(),
+        }
     }
 
-    /// Enqueues a copy of `id` on shard `s`. Returns `false` (and sheds
-    /// nothing itself) when the tenant's queue share is full.
-    fn enqueue_on(&mut self, s: usize, id: usize, _now: VirtualNs) -> bool {
-        let t = self.reqs[id].tenant;
-        let deadline = self.reqs[id].deadline_ns;
-        if !self.shards[s].queue.try_push(t, id, deadline) {
+    /// Fleet-global index of instance `inst`: its `inst/N` Perfetto row.
+    fn lane(&self, inst: usize) -> u32 {
+        self.index * self.inflight.len() as u32 + inst as u32
+    }
+
+    /// Router load: queued plus running copies, inflated by `catchup`
+    /// while the shard is in its post-rejoin catch-up window.
+    fn load(&self, now: VirtualNs, catchup: usize) -> usize {
+        let running = self.inflight.iter().filter(|e| e.0 != IDLE.0).count();
+        let pad = if now < self.catchup_until { catchup } else { 0 };
+        self.queue.len() + running + pad
+    }
+
+    fn sample_depth(&self, core: &Core) {
+        if core.traced {
+            telemetry::counter_on(
+                Lane::new("queue", self.index),
+                "queue_depth",
+                self.queue.len() as f64,
+            );
+        }
+    }
+
+    fn req_args(&self, id: usize) -> Args {
+        arg2(
+            "req",
+            ArgValue::U64(id as u64),
+            "shard",
+            ArgValue::U64(u64::from(self.index)),
+        )
+    }
+
+    fn schedule_wake(&mut self, core: &mut Core, at: VirtualNs) {
+        if self.wake_at.is_none_or(|w| at < w) {
+            self.wake_at = Some(at);
+            core.events.push(at, Event::Wake(self.index));
+        }
+    }
+
+    /// Enqueues a copy of `id`. Returns `false` (and sheds nothing
+    /// itself) when the tenant's queue share is full.
+    fn try_enqueue(&mut self, core: &Core, id: usize) -> bool {
+        let req = &core.reqs[id];
+        if !self.queue.try_push(req.tenant, id, req.deadline_ns) {
             return false;
         }
-        self.shards[s].stats.offered += 1;
+        self.stats.offered += 1;
+        self.sample_depth(core);
         true
     }
 
+    /// Enqueues a copy of `id`, or sheds it when the queue is full.
+    fn enqueue_or_shed(&mut self, core: &mut Core, id: usize, now: VirtualNs) -> bool {
+        if self.try_enqueue(core, id) {
+            return true;
+        }
+        self.stats.sheds += 1;
+        core.trace(
+            IncidentKind::ShedQueueFull,
+            self.req_args(id),
+            format_args!("req={id} shard={} t_ns={now}", self.index),
+        );
+        core.copy_dies(id, Verdict::Shed(ShedReason::QueueFull));
+        false
+    }
+
+    fn dispatch(&mut self, core: &mut Core, now: VirtualNs) {
+        if !self.alive {
+            return;
+        }
+        let cfg = core.cfg;
+        loop {
+            let Some(inst) = self.pool.acquire(now) else {
+                if !self.queue.is_empty() {
+                    if let Some(at) = self.pool.next_dispatchable_at(now) {
+                        self.schedule_wake(core, at);
+                    }
+                }
+                return;
+            };
+            // Pop, skipping stale copies whose twin already resolved the
+            // request (hedge won elsewhere, or failover raced).
+            let id = loop {
+                match self.queue.pop() {
+                    None => return,
+                    Some(id) if core.reqs[id].verdict.is_some() => continue,
+                    Some(id) => break id,
+                }
+            };
+            self.sample_depth(core);
+
+            // Tier choice: congestion controller first, then the
+            // request's floor from failed attempts, then slack-fit.
+            let req = &core.reqs[id];
+            let healthy = self.pool.healthy(now);
+            let Some(tier) = choose_tier(core.catalog, cfg, req, self.queue.len(), healthy, now)
+            else {
+                let slack = req.slack_ns(now);
+                self.stats.sheds += 1;
+                core.trace(
+                    IncidentKind::ShedHopeless,
+                    self.req_args(id),
+                    format_args!("req={id} shard={} slack_ns={slack} t_ns={now}", self.index),
+                );
+                core.copy_dies(id, Verdict::Shed(ShedReason::Hopeless));
+                continue;
+            };
+
+            let mut service_ns = service_time_ns(core.catalog, req.key, tier);
+            // Roll the fault environment: a slow-unit fault stretches the
+            // service time but still completes (masked); every other kind
+            // wastes the dispatch (detected at completion) and takes the
+            // retry path.
+            let inj = &mut self.injectors[inst];
+            inj.counters_mut().queries += 1;
+            let mut fault = FaultKind::ALL.into_iter().find(|&k| inj.fires(k));
+            if fault == Some(FaultKind::SlowUnit) {
+                service_ns *= cfg.faults.slow_factor.max(1);
+                inj.counters_mut().masked += 1;
+                fault = None;
+            }
+            // A stalled shard serves, just several times slower — the
+            // latency-tail failure hedging is for.
+            if now < self.stall_until {
+                service_ns *= self.stall_factor.max(1);
+            }
+            // Suspicion-scored voting: a suspect instance re-executes the
+            // dispatch (temporal duplicate-dispatch), doubling its
+            // modeled service time.
+            let voted = self.integrity.dispatch_vote(inst);
+            if voted {
+                service_ns *= 2;
+            }
+            let req = &mut core.reqs[id];
+            req.attempts += 1;
+            req.tier_floor = tier; // remember the served tier
+            self.inflight[inst] = (id as u32, now);
+            self.pool.begin(inst, now, service_ns);
+            if core.traced {
+                telemetry::complete_at(
+                    Lane::new("inst", self.lane(inst)),
+                    "service",
+                    if fault.is_some() {
+                        "serve_faulted"
+                    } else {
+                        "serve"
+                    },
+                    now,
+                    service_ns,
+                    arg2(
+                        "req",
+                        ArgValue::U64(id as u64),
+                        "tier",
+                        ArgValue::Str(QualityTier::from_index(tier).label()),
+                    ),
+                );
+            }
+            let done = Dispatch {
+                shard: self.index as u16,
+                inst: inst as u16,
+                req: id as u32,
+                epoch: self.epoch,
+                tier: tier as u8,
+                fault,
+                voted,
+            };
+            core.events.push(now + service_ns, Event::Complete(done));
+        }
+    }
+
+    /// Benches a lying instance for scrubbing: out of rotation until a
+    /// scrub probe streak readmits it. A shard's last healthy instance is
+    /// never pulled (degraded service beats no service), but its scrub
+    /// schedule still runs so the integrity state stays live.
+    fn bench_liar(&mut self, core: &mut Core, inst: usize, now: VirtualNs) {
+        if self.pool.healthy(now) > 1 {
+            self.pool.quarantine(inst, BENCH_HORIZON_NS);
+            if core.traced {
+                let lane = ArgValue::U64(u64::from(self.lane(inst)));
+                telemetry::instant_args("service", "bench_liar", arg1("inst", lane));
+                telemetry::incident_kind(
+                    IncidentKind::Quarantine,
+                    &format!("shard={} inst={inst} liar=1 t_ns={now}", self.index),
+                );
+            }
+        }
+        core.events.push(
+            now + core.cfg.integrity.scrub_period_us * NS_PER_US,
+            Event::Scrub {
+                shard: self.index,
+                inst: inst as u32,
+            },
+        );
+    }
+
+    /// One known-answer scrub probe against a benched instance.
+    fn scrub(&mut self, core: &mut Core, inst: usize, now: VirtualNs) {
+        if !self.integrity.is_benched(inst) {
+            return;
+        }
+        if self.integrity.scrub_probe(inst) {
+            self.pool.readmit(inst, now);
+            core.trace(
+                IncidentKind::ScrubReadmit,
+                arg1("inst", ArgValue::U64(u64::from(self.lane(inst)))),
+                format_args!(
+                    "shard={} inst={inst} probes={} t_ns={now}",
+                    self.index, self.integrity.stats.scrub_probes
+                ),
+            );
+            self.dispatch(core, now);
+        } else if core.resolved < core.reqs.len() {
+            core.events.push(
+                now + core.cfg.integrity.scrub_period_us * NS_PER_US,
+                Event::Scrub {
+                    shard: self.index,
+                    inst: inst as u32,
+                },
+            );
+        }
+    }
+
+    fn complete(&mut self, core: &mut Core, done: Dispatch, now: VirtualNs) {
+        if done.epoch != self.epoch {
+            // The shard crashed while this dispatch ran; the copy was
+            // already failed over or written off at crash time.
+            return;
+        }
+        let (inst, id, tier) = (
+            usize::from(done.inst),
+            done.req as usize,
+            usize::from(done.tier),
+        );
+        // Free the in-flight slot unless an earlier-queued event
+        // re-acquired the instance at this exact timestamp: that dispatch
+        // began now and keeps the slot.
+        if self.inflight[inst].1 != now {
+            self.inflight[inst] = IDLE;
+        }
+        let cfg = core.cfg;
+        let s = self.index;
+        let quality = QualityTier::from_index(tier);
+        let entry = *core.catalog.entry(core.reqs[id].key, quality);
+        // Energy the dispatch actually spent: the catalog attempt cost,
+        // doubled when suspicion voting re-executed it. Slow-unit faults
+        // stretch time, not work. The shard is billed for every
+        // completion it produced — including copies whose result turns
+        // out to be useless — while the fleet ledger splits winning
+        // attempts from wasted ones below.
+        let attempt_pj = if done.voted {
+            2.0 * entry.energy_pj
+        } else {
+            entry.energy_pj
+        };
+        self.stats.energy_pj += attempt_pj;
+        if core.traced {
+            // Power-rail counter track: the datapath power this dispatch
+            // drew while it ran (pJ/µs ≡ µW), one lane per instance row.
+            telemetry::counter_on(
+                Lane::new("rail", self.lane(inst)),
+                "power_uw",
+                entry.energy_pj / entry.modeled_us.max(1e-9),
+            );
+        }
+
+        if done.fault.is_some() {
+            core.summary.fleet.wasted_energy_pj += attempt_pj;
+            self.injectors[inst].counters_mut().detected += 1;
+            if cfg.breaker.on_fault(&mut self.pool, inst, now).is_some() {
+                self.injectors[inst].counters_mut().quarantined += 1;
+                core.trace(
+                    IncidentKind::Quarantine,
+                    arg1("inst", ArgValue::U64(u64::from(self.lane(inst)))),
+                    format_args!("shard={s} inst={inst} t_ns={now}"),
+                );
+                // The expiry needs a wake in case the whole pool is idle
+                // but quarantined when it lands.
+                if let Some(at) = self.pool.next_dispatchable_at(now) {
+                    self.schedule_wake(core, at);
+                }
+            }
+            let attempts = core.reqs[id].attempts;
+            if core.reqs[id].verdict.is_some() {
+                return; // a twin already won; drop the faulted copy
+            }
+            if attempts > cfg.retry.max_retries {
+                core.trace(
+                    IncidentKind::FailedFaults,
+                    self.req_args(id),
+                    format_args!("req={id} shard={s} attempts={attempts} t_ns={now}"),
+                );
+                core.copy_dies(id, Verdict::FailedFaults);
+            } else {
+                let shift = (attempts - 1).min(16);
+                let backoff = (cfg.retry.backoff_us * NS_PER_US) << shift;
+                self.injectors[inst].counters_mut().redispatches += 1;
+                core.summary.fleet.retries += 1;
+                core.events.push(
+                    now + backoff,
+                    Event::Enqueue {
+                        shard: s,
+                        req: done.req,
+                    },
+                );
+            }
+            return;
+        }
+
+        self.pool.record_success(inst);
+        if core.reqs[id].verdict.is_some() {
+            // The hedge twin (or a failover copy) already resolved it:
+            // the straggler's energy bought nothing.
+            core.summary.hedge_wasted += 1;
+            core.summary.fleet.wasted_energy_pj += attempt_pj;
+            return;
+        }
+        if !entry.solved {
+            // Budget exhausted without a path: the attempt's energy is
+            // spent either way. Step down the ladder and try again
+            // immediately (the cheap re-plan path).
+            core.summary.fleet.wasted_energy_pj += attempt_pj;
+            if tier + 1 < QualityTier::COUNT {
+                let req = &mut core.reqs[id];
+                req.tier_floor = req.tier_floor.max(tier + 1);
+                core.summary.fleet.tier_stepdowns += 1;
+                self.enqueue_or_shed(core, id, now);
+            } else {
+                core.copy_dies(id, Verdict::Unsolved);
+            }
+            return;
+        }
+
+        // Integrity pipeline: roll this instance's silent-corruption
+        // stream (resolving any vote), then certify before the request
+        // may resolve as Completed.
+        let ci = self.integrity.completion(inst, done.voted);
+        if ci.bench {
+            self.bench_liar(core, inst, now);
+        }
+        let mut now = now;
+        let lane = ArgValue::U64(u64::from(self.lane(inst)));
+        let inst_args = arg2("req", ArgValue::U64(id as u64), "inst", lane);
+        if cfg.integrity.certify {
+            let certify_ns = us_to_ns(entry.certify_us);
+            let stats = &mut self.integrity.stats;
+            stats.certify_ns += certify_ns;
+            stats.certify_hist.observe(entry.certify_us.round() as u64);
+            if ci.ships_corrupt {
+                // The independent cascade rejects the corrupted plan:
+                // attribute, then re-plan degraded under whatever budget
+                // remains. The rejected attempt's energy bought nothing.
+                core.summary.fleet.wasted_energy_pj += attempt_pj;
+                stats.certify_failed += 1;
+                self.integrity.accuse(inst);
+                core.trace(
+                    IncidentKind::CertifyFailed,
+                    inst_args,
+                    format_args!(
+                        "req={id} shard={s} inst={inst} tier={} t_ns={now}",
+                        quality.label()
+                    ),
+                );
+                if core.reqs[id].attempts > cfg.retry.max_retries {
+                    // Replan budget exhausted: fail closed — an
+                    // unresolved request, never an unsafe plan.
+                    core.copy_dies(id, Verdict::FailedFaults);
+                    return;
+                }
+                if tier + 1 < QualityTier::COUNT {
+                    let req = &mut core.reqs[id];
+                    req.tier_floor = req.tier_floor.max(tier + 1);
+                    core.summary.fleet.tier_stepdowns += 1;
+                }
+                core.events.push(
+                    now + certify_ns,
+                    Event::Enqueue {
+                        shard: s,
+                        req: done.req,
+                    },
+                );
+                return;
+            }
+            self.integrity.stats.certified += 1;
+            self.integrity.exonerate(inst);
+            now += certify_ns;
+        } else if ci.ships_corrupt {
+            // Undefended: the unsafe plan ships as a "success".
+            self.integrity.stats.sdc_escaped += 1;
+            core.trace(
+                IncidentKind::SdcEscaped,
+                inst_args,
+                format_args!(
+                    "req={id} shard={s} inst={inst} tier={} t_ns={now}",
+                    quality.label()
+                ),
+            );
+        }
+
+        let req = &core.reqs[id];
+        let latency = now - req.arrival_ns;
+        let verdict = if now <= req.deadline_ns {
+            Verdict::OnTime {
+                tier: quality,
+                latency_ns: latency,
+            }
+        } else {
+            let late_ns = now - req.deadline_ns;
+            core.trace(
+                IncidentKind::DeadlineMiss,
+                arg2(
+                    "req",
+                    ArgValue::U64(id as u64),
+                    "late_ns",
+                    ArgValue::U64(late_ns),
+                ),
+                format_args!(
+                    "req={id} shard={s} tier={} late_ns={late_ns} t_ns={now}",
+                    quality.label()
+                ),
+            );
+            Verdict::Late {
+                tier: quality,
+                latency_ns: latency,
+            }
+        };
+        if core.states[id].twin == Some(s) {
+            core.summary.hedge_wins += 1;
+        }
+        let fleet = &mut core.summary.fleet;
+        fleet.tier_served[tier] += 1;
+        fleet.energy_pj += attempt_pj;
+        fleet.tier_energy_pj[tier] += attempt_pj;
+        if tier > 0 {
+            // Energy the ladder saved by serving this key below full
+            // quality.
+            let full_pj = core.catalog.entry(req.key, QualityTier::Full).energy_pj;
+            fleet.degraded_saved_pj += full_pj - entry.energy_pj;
+        }
+        if let Some(budget) = cfg.energy_budget_pj_per_plan {
+            if attempt_pj > budget {
+                fleet.energy_breaches += 1;
+                core.trace(
+                    IncidentKind::EnergyBudgetBreach,
+                    arg2(
+                        "req",
+                        ArgValue::U64(id as u64),
+                        "pj",
+                        ArgValue::F64(attempt_pj),
+                    ),
+                    format_args!(
+                        "req={id} shard={s} tier={} pj={attempt_pj:.0} \
+                         budget_pj={budget:.0} t_ns={now}",
+                        quality.label()
+                    ),
+                );
+            }
+        }
+        self.latencies.push(latency);
+        self.stats.served += 1;
+        if matches!(verdict, Verdict::OnTime { .. }) {
+            self.stats.on_time += 1;
+        }
+        let t = req.tenant;
+        core.tenants[t].energy_pj += attempt_pj;
+        core.tenant_lat[t].push(latency);
+        core.resolve(id, verdict);
+    }
+}
+
+/// The router over the shards: ring routing, tenant admission, hedging,
+/// and shard chaos with failover.
+struct Fleet<'a> {
+    core: Core<'a>,
+    cfg: &'a FleetConfig,
+    ring: HashRing,
+    shards: Vec<Shard>,
+    buckets: Vec<Option<TokenBucket>>,
+    chaos: Vec<ShardFaultEvent>,
+    /// Per-shard router loads, rebuilt on every routing decision.
+    loads: Vec<usize>,
+}
+
+impl Fleet<'_> {
+    /// Routes `key` by the bounded-load rule over the alive shards.
+    fn route(&mut self, key: u64, now: VirtualNs) -> Option<usize> {
+        let catchup = self.cfg.shard.queue_capacity.max(8);
+        self.loads.clear();
+        self.loads
+            .extend(self.shards.iter().map(|sh| sh.load(now, catchup)));
+        self.ring.route(key, &self.loads, self.cfg.spill_bound_pct)
+    }
+
     fn arrive(&mut self, id: usize, now: VirtualNs) {
-        let t = self.reqs[id].tenant;
+        let core = &mut self.core;
+        let t = core.reqs[id].tenant;
         if self.cfg.fairness {
             if let Some(bucket) = &mut self.buckets[t] {
                 if !bucket.try_take(now) {
-                    telemetry::instant_args(
-                        "fleet",
-                        "throttled",
-                        arg2(
-                            "req",
-                            ArgValue::U64(id as u64),
-                            "tenant",
-                            ArgValue::U64(t as u64),
-                        ),
-                    );
-                    self.resolve(id, Verdict::Shed(ShedReason::Throttled));
+                    if core.traced {
+                        telemetry::instant_args(
+                            "fleet",
+                            "throttled",
+                            arg2(
+                                "req",
+                                ArgValue::U64(id as u64),
+                                "tenant",
+                                ArgValue::U64(t as u64),
+                            ),
+                        );
+                    }
+                    core.resolve(id, Verdict::Shed(ShedReason::Throttled));
                     return;
                 }
             }
         }
-        let key = self.states[id].route_key;
+        let key = route_key(&core.reqs[id]);
         let target = if self.cfg.failover.enabled {
-            let loads = self.loads(now);
-            let Some(s) = self.ring.route(key, &loads, self.cfg.spill_bound_pct) else {
+            let Some(s) = self.route(key, now) else {
                 // Every shard is dead: nothing can take the request.
-                self.summary.lost_to_shards += 1;
-                self.resolve(id, Verdict::Shed(ShedReason::ShardLost));
+                self.core.summary.lost_to_shards += 1;
+                self.core.resolve(id, Verdict::Shed(ShedReason::ShardLost));
                 return;
             };
             if Some(s) != self.ring.primary(key) {
-                self.summary.spills += 1;
+                self.core.summary.spills += 1;
             }
             s
         } else {
@@ -369,512 +963,81 @@ impl Fleet<'_> {
             let s = self.ring.owner(key);
             if !self.shards[s].alive {
                 self.shards[s].stats.sheds += 1;
-                self.summary.lost_to_shards += 1;
-                self.resolve(id, Verdict::Shed(ShedReason::ShardLost));
+                self.core.summary.lost_to_shards += 1;
+                self.core.resolve(id, Verdict::Shed(ShedReason::ShardLost));
                 return;
             }
             s
         };
-        self.states[id].primary = target;
-        if !self.enqueue_on(target, id, now) {
-            self.shards[target].stats.sheds += 1;
+        let core = &mut self.core;
+        core.states[id].primary = target as u32;
+        core.states[id].copies = 1;
+        let shard = &mut self.shards[target];
+        if !shard.enqueue_or_shed(core, id, now) {
+            return;
+        }
+        if self.cfg.hedge.enabled && self.ring.alive_count() > 1 {
+            let slack = core.reqs[id].slack_ns(now);
+            let delay = (self.cfg.hedge.delay_us * NS_PER_US).min(slack / 2).max(1);
+            core.events.push(now + delay, Event::Hedge(id as u32));
+        }
+        shard.dispatch(core, now);
+    }
+
+    fn hedge(&mut self, id: usize, now: VirtualNs) {
+        let core = &mut self.core;
+        let (key, primary) = (route_key(&core.reqs[id]), core.states[id].primary as usize);
+        if core.reqs[id].verdict.is_some() || core.states[id].twin.is_some() {
+            return;
+        }
+        // Duplicate onto the next distinct alive shard; fall back to the
+        // ring's secondary when the original target is already gone.
+        let twin = match self.ring.secondary(key) {
+            Some(s) if s != primary => Some(s),
+            _ => self.ring.primary(key).filter(|&s| s != primary),
+        };
+        let Some(twin) = twin else { return };
+        let shard = &mut self.shards[twin];
+        if !shard.try_enqueue(core, id) {
+            return; // hedge suppressed: the twin's queue share is full
+        }
+        let st = &mut core.states[id];
+        st.twin = Some(twin as u32);
+        st.copies += 1;
+        core.summary.hedges_fired += 1;
+        if core.traced {
             telemetry::instant_args(
                 "fleet",
-                "shed_queue_full",
+                "hedge_fired",
                 arg2(
                     "req",
                     ArgValue::U64(id as u64),
                     "shard",
-                    ArgValue::U64(target as u64),
+                    ArgValue::U64(twin as u64),
                 ),
             );
-            if telemetry::active() {
-                telemetry::incident(&format!(
-                    "shed_queue_full req={id} shard={target} t_ns={now}"
-                ));
-            }
-            self.resolve(id, Verdict::Shed(ShedReason::QueueFull));
-            return;
-        }
-        self.states[id].copies = 1;
-        if self.cfg.hedge.enabled && self.ring.alive_count() > 1 {
-            let slack = self.reqs[id].slack_ns(now);
-            let delay = (self.cfg.hedge.delay_us * NS_PER_US).min(slack / 2).max(1);
-            self.events.push(now + delay, Event::Hedge(id));
-        }
-        self.dispatch(target, now);
-    }
-
-    fn hedge(&mut self, id: usize, now: VirtualNs) {
-        if self.reqs[id].verdict.is_some() || self.states[id].hedged {
-            return;
-        }
-        let key = self.states[id].route_key;
-        // Duplicate onto the next distinct alive shard; fall back to the
-        // ring's secondary when the original target is already gone.
-        let twin = match self.ring.secondary(key) {
-            Some(s) if s != self.states[id].primary => Some(s),
-            _ => self
-                .ring
-                .primary(key)
-                .filter(|&s| s != self.states[id].primary),
-        };
-        let Some(twin) = twin else { return };
-        if !self.enqueue_on(twin, id, now) {
-            return; // hedge suppressed: the twin's queue share is full
-        }
-        self.states[id].hedged = true;
-        self.states[id].twin = Some(twin);
-        self.states[id].copies += 1;
-        self.summary.hedges_fired += 1;
-        telemetry::instant_args(
-            "fleet",
-            "hedge_fired",
-            arg2(
-                "req",
-                ArgValue::U64(id as u64),
-                "shard",
-                ArgValue::U64(twin as u64),
-            ),
-        );
-        if telemetry::active() {
             telemetry::incident_kind(
                 IncidentKind::HedgeFired,
                 &format!("req={id} twin={twin} t_ns={now}"),
             );
         }
-        self.dispatch(twin, now);
-    }
-
-    fn dispatch(&mut self, s: usize, now: VirtualNs) {
-        if !self.shards[s].alive {
-            return;
-        }
-        loop {
-            let Some(inst) = self.shards[s].pool.acquire(now) else {
-                if !self.shards[s].queue.is_empty() {
-                    if let Some(at) = self.shards[s].pool.next_dispatchable_at(now) {
-                        self.schedule_wake(s, at);
-                    }
-                }
-                return;
-            };
-            // Pop, skipping stale copies whose twin already resolved the
-            // request (hedge won elsewhere, or failover raced).
-            let id = loop {
-                match self.shards[s].queue.pop() {
-                    None => return,
-                    Some(id) if self.reqs[id].verdict.is_some() => continue,
-                    Some(id) => break id,
-                }
-            };
-
-            let Some(tier_idx) = choose_tier(
-                self.catalog,
-                &self.cfg.shard,
-                &self.reqs[id],
-                self.shards[s].queue.len(),
-                self.shards[s].pool.healthy(now),
-                now,
-            ) else {
-                self.shards[s].stats.sheds += 1;
-                if telemetry::active() {
-                    telemetry::incident(&format!("shed_hopeless req={id} shard={s} t_ns={now}"));
-                }
-                self.copy_dies(id, Verdict::Shed(ShedReason::Hopeless));
-                continue;
-            };
-
-            let mut service_ns = service_time_ns(self.catalog, self.reqs[id].key, tier_idx);
-            let fault = roll_dispatch_fault(
-                &mut self.shards[s].injectors[inst],
-                self.cfg.shard.faults.slow_factor,
-                &mut service_ns,
-            );
-            // A stalled shard serves, just several times slower — the
-            // latency-tail failure hedging is for.
-            if now < self.shards[s].stall_until {
-                service_ns *= self.shards[s].stall_factor.max(1);
-            }
-            // Suspicion-scored voting: a suspect instance re-executes the
-            // dispatch (temporal duplicate-dispatch), doubling its
-            // modeled service time.
-            let voted = self.shards[s].integrity.dispatch_vote(inst);
-            if voted {
-                service_ns *= 2;
-            }
-            self.reqs[id].attempts += 1;
-            self.reqs[id].tier_floor = tier_idx;
-            let token = self.shards[s].dispatch_seq;
-            self.shards[s].dispatch_seq += 1;
-            self.shards[s].inflight[inst] = (id, token);
-            self.shards[s].pool.begin(inst, now, service_ns);
-            telemetry::complete_at(
-                Lane::new("inst", (s * self.cfg.shard.instances + inst) as u32),
-                "fleet",
-                if fault.is_some() {
-                    "serve_faulted"
-                } else {
-                    "serve"
-                },
-                now,
-                service_ns,
-                arg2(
-                    "req",
-                    ArgValue::U64(id as u64),
-                    "tier",
-                    ArgValue::Str(QualityTier::from_index(tier_idx).label()),
-                ),
-            );
-            let epoch = self.shards[s].epoch;
-            self.events.push(
-                now + service_ns,
-                Event::Complete {
-                    shard: s,
-                    inst,
-                    req: id,
-                    epoch,
-                    tier: tier_idx,
-                    token,
-                    fault,
-                    voted,
-                },
-            );
-        }
-    }
-
-    /// Benches a lying instance for scrubbing: out of rotation until a
-    /// scrub probe streak readmits it. A shard's last healthy instance is
-    /// never pulled (degraded service beats no service), but its scrub
-    /// schedule still runs so the integrity state stays live.
-    fn bench_liar(&mut self, s: usize, inst: usize, now: VirtualNs) {
-        if self.shards[s].pool.healthy(now) > 1 {
-            self.shards[s].pool.quarantine(inst, BENCH_HORIZON_NS);
-            telemetry::instant_args(
-                "fleet",
-                "bench_liar",
-                arg2(
-                    "shard",
-                    ArgValue::U64(s as u64),
-                    "inst",
-                    ArgValue::U64(inst as u64),
-                ),
-            );
-            if telemetry::active() {
-                telemetry::incident(&format!(
-                    "quarantine shard={s} inst={inst} liar=1 t_ns={now}"
-                ));
-            }
-        }
-        self.events.push(
-            now + self.cfg.shard.integrity.scrub_period_us * NS_PER_US,
-            Event::Scrub { shard: s, inst },
-        );
-    }
-
-    /// One known-answer scrub probe against a benched instance.
-    fn scrub(&mut self, s: usize, inst: usize, now: VirtualNs) {
-        if !self.shards[s].integrity.is_benched(inst) {
-            return;
-        }
-        if self.shards[s].integrity.scrub_probe(inst) {
-            self.shards[s].pool.readmit(inst, now);
-            telemetry::instant_args(
-                "fleet",
-                "scrub_readmit",
-                arg2(
-                    "shard",
-                    ArgValue::U64(s as u64),
-                    "inst",
-                    ArgValue::U64(inst as u64),
-                ),
-            );
-            if telemetry::active() {
-                telemetry::incident(&format!(
-                    "scrub_readmit shard={s} inst={inst} probes={} t_ns={now}",
-                    self.shards[s].integrity.stats.scrub_probes
-                ));
-            }
-            self.dispatch(s, now);
-        } else if self.resolved < self.reqs.len() {
-            self.events.push(
-                now + self.cfg.shard.integrity.scrub_period_us * NS_PER_US,
-                Event::Scrub { shard: s, inst },
-            );
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn complete(
-        &mut self,
-        s: usize,
-        inst: usize,
-        id: usize,
-        epoch: u32,
-        tier: usize,
-        token: u64,
-        fault: Option<FaultKind>,
-        voted: bool,
-        now: VirtualNs,
-    ) {
-        if epoch != self.shards[s].epoch {
-            // The shard crashed while this dispatch ran; the copy was
-            // already failed over or written off at crash time.
-            return;
-        }
-        // Clear the inflight slot unless the instance was re-acquired at
-        // this exact timestamp (the slot then belongs to the next
-        // dispatch and must stay).
-        if self.shards[s].inflight[inst] == (id, token) {
-            self.shards[s].inflight[inst] = (usize::MAX, 0);
-        }
-
-        let quality = QualityTier::from_index(tier);
-        let entry = *self.catalog.entry(self.reqs[id].key, quality);
-        // Energy the dispatch actually spent: the catalog attempt cost,
-        // doubled when suspicion voting re-executed it. The shard is
-        // billed for every completion it produced — including copies
-        // whose result turns out to be useless — while the fleet ledger
-        // splits winning attempts from wasted ones below.
-        let attempt_pj = if voted {
-            2.0 * entry.energy_pj
-        } else {
-            entry.energy_pj
-        };
-        self.shards[s].stats.energy_pj += attempt_pj;
-        // Per-shard power-rail counter track (pJ/µs ≡ µW), one lane per
-        // fleet-global instance, mirroring the dispatch occupancy lanes.
-        telemetry::counter_on(
-            Lane::new("rail", (s * self.cfg.shard.instances + inst) as u32),
-            "power_uw",
-            entry.energy_pj / entry.modeled_us.max(1e-9),
-        );
-
-        if let Some(_kind) = fault {
-            self.summary.fleet.wasted_energy_pj += attempt_pj;
-            self.shards[s].injectors[inst].counters_mut().detected += 1;
-            let quarantined = self
-                .cfg
-                .shard
-                .breaker
-                .on_fault(&mut self.shards[s].pool, inst, now)
-                .is_some();
-            if quarantined {
-                self.shards[s].injectors[inst].counters_mut().quarantined += 1;
-                if telemetry::active() {
-                    telemetry::incident(&format!("quarantine shard={s} inst={inst} t_ns={now}"));
-                }
-                if let Some(at) = self.shards[s].pool.next_dispatchable_at(now) {
-                    self.schedule_wake(s, at);
-                }
-            }
-            if self.reqs[id].verdict.is_some() {
-                return; // a twin already won; drop the faulted copy
-            }
-            if self.reqs[id].attempts > self.cfg.shard.retry.max_retries {
-                if telemetry::active() {
-                    telemetry::incident(&format!(
-                        "failed_faults req={id} shard={s} attempts={} t_ns={now}",
-                        self.reqs[id].attempts
-                    ));
-                }
-                self.copy_dies(id, Verdict::FailedFaults);
-            } else {
-                let shift = (self.reqs[id].attempts - 1).min(16);
-                let backoff = (self.cfg.shard.retry.backoff_us * NS_PER_US) << shift;
-                self.shards[s].injectors[inst].counters_mut().redispatches += 1;
-                self.summary.fleet.retries += 1;
-                self.events
-                    .push(now + backoff, Event::Enqueue { shard: s, req: id });
-            }
-            return;
-        }
-
-        self.shards[s].pool.record_success(inst);
-        if self.reqs[id].verdict.is_some() {
-            // The hedge twin (or a failover copy) already resolved it:
-            // the straggler's energy bought nothing.
-            self.summary.hedge_wasted += 1;
-            self.summary.fleet.wasted_energy_pj += attempt_pj;
-            return;
-        }
-        if entry.solved {
-            // Integrity pipeline: roll this instance's silent-corruption
-            // stream (resolving any vote), then certify before the
-            // request may resolve as Completed.
-            let ci = self.shards[s].integrity.completion(inst, voted);
-            if ci.bench {
-                self.bench_liar(s, inst, now);
-            }
-            let mut done = now;
-            if self.cfg.shard.integrity.certify {
-                let certify_ns = us_to_ns(entry.certify_us);
-                let stats = &mut self.shards[s].integrity.stats;
-                stats.certify_ns += certify_ns;
-                stats.certify_hist.observe(entry.certify_us.round() as u64);
-                done = now + certify_ns;
-                if ci.ships_corrupt {
-                    // The independent cascade rejects the corrupted plan:
-                    // attribute, then re-plan degraded under whatever
-                    // budget remains. The rejected attempt's energy
-                    // bought nothing.
-                    self.summary.fleet.wasted_energy_pj += attempt_pj;
-                    self.shards[s].integrity.stats.certify_failed += 1;
-                    self.shards[s].integrity.accuse(inst);
-                    telemetry::instant_args(
-                        "fleet",
-                        "certify_failed",
-                        arg2(
-                            "req",
-                            ArgValue::U64(id as u64),
-                            "shard",
-                            ArgValue::U64(s as u64),
-                        ),
-                    );
-                    if telemetry::active() {
-                        telemetry::incident(&format!(
-                            "certify_failed req={id} shard={s} inst={inst} tier={} t_ns={now}",
-                            quality.label()
-                        ));
-                    }
-                    if self.reqs[id].attempts > self.cfg.shard.retry.max_retries {
-                        // Replan budget exhausted: fail closed — an
-                        // unresolved request, never an unsafe plan.
-                        self.copy_dies(id, Verdict::FailedFaults);
-                        return;
-                    }
-                    if tier + 1 < QualityTier::COUNT {
-                        self.reqs[id].tier_floor = self.reqs[id].tier_floor.max(tier + 1);
-                        self.summary.fleet.tier_stepdowns += 1;
-                    }
-                    self.events.push(done, Event::Enqueue { shard: s, req: id });
-                    return;
-                }
-                self.shards[s].integrity.stats.certified += 1;
-                self.shards[s].integrity.exonerate(inst);
-            } else if ci.ships_corrupt {
-                // Undefended: the unsafe plan ships as a "success".
-                self.shards[s].integrity.stats.sdc_escaped += 1;
-                telemetry::instant_args(
-                    "fleet",
-                    "sdc_escaped",
-                    arg2(
-                        "req",
-                        ArgValue::U64(id as u64),
-                        "shard",
-                        ArgValue::U64(s as u64),
-                    ),
-                );
-                if telemetry::active() {
-                    telemetry::incident(&format!(
-                        "sdc_escaped req={id} shard={s} inst={inst} tier={} t_ns={now}",
-                        quality.label()
-                    ));
-                }
-            }
-            let now = done;
-            let latency = now - self.reqs[id].arrival_ns;
-            let verdict = if now <= self.reqs[id].deadline_ns {
-                Verdict::OnTime {
-                    tier: quality,
-                    latency_ns: latency,
-                }
-            } else {
-                let late_ns = now - self.reqs[id].deadline_ns;
-                if telemetry::active() {
-                    telemetry::incident(&format!(
-                        "deadline_miss req={id} shard={s} tier={} late_ns={late_ns} t_ns={now}",
-                        quality.label()
-                    ));
-                }
-                Verdict::Late {
-                    tier: quality,
-                    latency_ns: latency,
-                }
-            };
-            if self.states[id].twin == Some(s) {
-                self.summary.hedge_wins += 1;
-            }
-            self.summary.fleet.tier_served[tier] += 1;
-            self.summary.fleet.energy_pj += attempt_pj;
-            self.summary.fleet.tier_energy_pj[tier] += attempt_pj;
-            if tier > 0 {
-                // Energy the ladder saved by serving this key below full
-                // quality.
-                let full_pj = self
-                    .catalog
-                    .entry(self.reqs[id].key, QualityTier::Full)
-                    .energy_pj;
-                self.summary.fleet.degraded_saved_pj += full_pj - entry.energy_pj;
-            }
-            if let Some(budget) = self.cfg.shard.energy_budget_pj_per_plan {
-                if attempt_pj > budget {
-                    self.summary.fleet.energy_breaches += 1;
-                    telemetry::instant_args(
-                        "fleet",
-                        "energy_budget_breach",
-                        arg2(
-                            "req",
-                            ArgValue::U64(id as u64),
-                            "pj",
-                            ArgValue::F64(attempt_pj),
-                        ),
-                    );
-                    if telemetry::active() {
-                        telemetry::incident_kind(
-                            IncidentKind::EnergyBudgetBreach,
-                            &format!(
-                                "req={id} shard={s} tier={} pj={:.0} budget_pj={budget:.0} \
-                                 t_ns={now}",
-                                quality.label(),
-                                attempt_pj
-                            ),
-                        );
-                    }
-                }
-            }
-            self.latencies.push(latency);
-            self.shards[s].latencies.push(latency);
-            self.shards[s].stats.served += 1;
-            if matches!(verdict, Verdict::OnTime { .. }) {
-                self.shards[s].stats.on_time += 1;
-            }
-            let t = self.reqs[id].tenant;
-            self.tenants[t].energy_pj += attempt_pj;
-            self.tenant_lat[t].push(latency);
-            self.resolve(id, verdict);
-        } else if tier + 1 < QualityTier::COUNT {
-            // Budget exhausted without a path: the attempt's energy is
-            // spent either way.
-            self.summary.fleet.wasted_energy_pj += attempt_pj;
-            self.reqs[id].tier_floor = self.reqs[id].tier_floor.max(tier + 1);
-            self.summary.fleet.tier_stepdowns += 1;
-            if !self.enqueue_on(s, id, now) {
-                self.shards[s].stats.sheds += 1;
-                self.copy_dies(id, Verdict::Shed(ShedReason::QueueFull));
-            }
-        } else {
-            self.summary.fleet.wasted_energy_pj += attempt_pj;
-            self.copy_dies(id, Verdict::Unsolved);
-        }
+        shard.dispatch(core, now);
     }
 
     /// A copy re-enters shard `s` (retry backoff, failover, step-down
     /// deferred through the event queue). Dead-shard targets re-route
     /// (defended) or die (undefended).
     fn re_enqueue(&mut self, s: usize, id: usize, now: VirtualNs) {
-        if self.reqs[id].verdict.is_some() {
+        if self.core.reqs[id].verdict.is_some() {
             return;
         }
         if !self.shards[s].alive {
             self.failover_copy(id, s, now);
             return;
         }
-        if self.enqueue_on(s, id, now) {
-            self.dispatch(s, now);
-        } else {
-            self.shards[s].stats.sheds += 1;
-            self.copy_dies(id, Verdict::Shed(ShedReason::QueueFull));
+        let shard = &mut self.shards[s];
+        if shard.enqueue_or_shed(&mut self.core, id, now) {
+            shard.dispatch(&mut self.core, now);
         }
     }
 
@@ -882,123 +1045,191 @@ impl Fleet<'_> {
     /// budget; without budget (or an alive target, or failover at all)
     /// the copy is lost.
     fn failover_copy(&mut self, id: usize, from: usize, now: VirtualNs) {
-        if self.cfg.failover.enabled && self.states[id].failovers < self.cfg.failover.max_failovers
-        {
-            let loads = self.loads(now);
-            if let Some(target) =
-                self.ring
-                    .route(self.states[id].route_key, &loads, self.cfg.spill_bound_pct)
-            {
-                self.states[id].failovers += 1;
-                self.summary.rerouted += 1;
-                self.events.push(
+        let failovers = self.core.states[id].failovers;
+        if self.cfg.failover.enabled && failovers < self.cfg.failover.max_failovers {
+            if let Some(target) = self.route(route_key(&self.core.reqs[id]), now) {
+                self.core.states[id].failovers += 1;
+                self.core.summary.rerouted += 1;
+                self.core.events.push(
                     now,
                     Event::Enqueue {
-                        shard: target,
-                        req: id,
+                        shard: target as u32,
+                        req: id as u32,
                     },
                 );
                 return;
             }
         }
         self.shards[from].stats.sheds += 1;
-        self.summary.lost_to_shards += 1;
-        self.copy_dies(id, Verdict::Shed(ShedReason::ShardLost));
+        self.core.summary.lost_to_shards += 1;
+        self.core
+            .copy_dies(id, Verdict::Shed(ShedReason::ShardLost));
     }
 
     fn crash(&mut self, s: usize, duration_ns: VirtualNs, now: VirtualNs) {
-        if !self.shards[s].alive {
+        let sh = &mut self.shards[s];
+        if !sh.alive {
             return; // already down; the earlier rejoin stands
         }
-        self.shards[s].alive = false;
-        self.shards[s].epoch += 1;
-        self.shards[s].stats.kills += 1;
-        self.summary.shard_kills += 1;
+        sh.alive = false;
+        sh.epoch += 1;
+        sh.stats.kills += 1;
+        self.core.summary.shard_kills += 1;
         if self.cfg.failover.enabled {
             self.ring.remove(s);
         }
         // The pool state dies with the shard: bank its counters and
         // rebuild it for the rejoin.
-        self.shards[s].busy_accum += self.shards[s].pool.total_busy_ns();
-        self.shards[s].quar_accum += self.shards[s].pool.total_quarantines();
-        self.shards[s].pool = AcceleratorPool::new(self.cfg.shard.instances);
-        self.shards[s].wake_at = None;
-        let mut victims = self.shards[s].queue.drain();
-        for entry in &mut self.shards[s].inflight {
-            if entry.0 != usize::MAX {
-                victims.push(entry.0);
-                *entry = (usize::MAX, 0);
+        sh.busy_accum += sh.pool.total_busy_ns();
+        sh.quar_accum += sh.pool.total_quarantines();
+        sh.pool = AcceleratorPool::new(self.cfg.shard.instances);
+        sh.wake_at = None;
+        let mut victims = sh.queue.drain();
+        for entry in &mut sh.inflight {
+            if entry.0 != IDLE.0 {
+                victims.push(entry.0 as usize);
+                *entry = IDLE;
             }
         }
-        let before_rerouted = self.summary.rerouted;
-        let before_lost = self.summary.lost_to_shards;
+        let before_rerouted = self.core.summary.rerouted;
+        let before_lost = self.core.summary.lost_to_shards;
         for id in victims {
-            if self.reqs[id].verdict.is_some() {
+            if self.core.reqs[id].verdict.is_some() {
                 continue;
             }
             self.failover_copy(id, s, now);
         }
-        let rerouted = self.summary.rerouted - before_rerouted;
-        let lost = self.summary.lost_to_shards - before_lost;
-        telemetry::instant_args(
-            "fleet",
-            "shard_crash",
-            arg2(
-                "shard",
-                ArgValue::U64(s as u64),
-                "rerouted",
-                ArgValue::U64(rerouted),
-            ),
-        );
-        if telemetry::active() {
+        if self.core.traced {
+            let rerouted = self.core.summary.rerouted - before_rerouted;
+            let lost = self.core.summary.lost_to_shards - before_lost;
+            telemetry::instant_args(
+                "fleet",
+                "shard_crash",
+                arg2(
+                    "shard",
+                    ArgValue::U64(s as u64),
+                    "rerouted",
+                    ArgValue::U64(rerouted),
+                ),
+            );
             telemetry::incident_kind(
                 IncidentKind::ShardFailover,
                 &format!("shard={s} rerouted={rerouted} lost={lost} t_ns={now}"),
             );
         }
-        self.events.push(now + duration_ns.max(1), Event::Rejoin(s));
+        self.core
+            .events
+            .push(now + duration_ns.max(1), Event::Rejoin(s as u32));
     }
 
     fn rejoin(&mut self, s: usize, now: VirtualNs) {
-        if self.shards[s].alive {
+        let sh = &mut self.shards[s];
+        if sh.alive {
             return;
         }
-        self.shards[s].alive = true;
-        self.shards[s].stall_until = 0;
+        sh.alive = true;
+        sh.stall_until = 0;
         if self.cfg.failover.enabled {
             self.ring.restore(s);
-            self.shards[s].catchup_until = now + self.cfg.failover.catchup_us * NS_PER_US;
+            sh.catchup_until = now + self.cfg.failover.catchup_us * NS_PER_US;
         }
-        telemetry::instant_args(
-            "fleet",
-            "shard_rejoin",
-            arg2("shard", ArgValue::U64(s as u64), "t_ns", ArgValue::U64(now)),
-        );
-        self.dispatch(s, now);
+        if self.core.traced {
+            telemetry::instant_args(
+                "fleet",
+                "shard_rejoin",
+                arg2("shard", ArgValue::U64(s as u64), "t_ns", ArgValue::U64(now)),
+            );
+        }
+        sh.dispatch(&mut self.core, now);
     }
 
     fn chaos(&mut self, idx: usize, now: VirtualNs) {
         let ev = self.chaos[idx];
         match ev.kind {
-            ShardFaultKind::Crash => self.crash(ev.shard, ev.duration_ns, now),
+            // `ShardFaultPlan::schedule` unrolls flaps into crashes.
+            ShardFaultKind::Crash | ShardFaultKind::Flap => {
+                self.crash(ev.shard, ev.duration_ns, now)
+            }
             ShardFaultKind::Stall => {
                 let sh = &mut self.shards[ev.shard];
                 sh.stall_until = sh.stall_until.max(now + ev.duration_ns);
                 sh.stall_factor = ev.slow_factor.max(2);
-                telemetry::instant_args(
-                    "fleet",
-                    "shard_stall",
-                    arg2(
-                        "shard",
-                        ArgValue::U64(ev.shard as u64),
-                        "factor",
-                        ArgValue::U64(sh.stall_factor),
-                    ),
-                );
+                if self.core.traced {
+                    telemetry::instant_args(
+                        "fleet",
+                        "shard_stall",
+                        arg2(
+                            "shard",
+                            ArgValue::U64(ev.shard as u64),
+                            "factor",
+                            ArgValue::U64(sh.stall_factor),
+                        ),
+                    );
+                }
             }
-            // `ShardFaultPlan::schedule` unrolls flaps into crashes.
-            ShardFaultKind::Flap => self.crash(ev.shard, ev.duration_ns, now),
         }
+    }
+
+    /// The event loop: pops events until the queue drains, then folds
+    /// the shard and tenant ledgers into the summary.
+    fn run(mut self) -> FleetSummary {
+        while let Some((now, ev)) = self.core.events.pop() {
+            if self.core.traced {
+                telemetry::set_time(now);
+            }
+            match ev {
+                Event::Arrive(id) => self.arrive(id as usize, now),
+                Event::Enqueue { shard, req } => self.re_enqueue(shard as usize, req as usize, now),
+                Event::Complete(done) => {
+                    let sh = &mut self.shards[usize::from(done.shard)];
+                    sh.complete(&mut self.core, done, now);
+                    sh.dispatch(&mut self.core, now);
+                }
+                Event::Wake(s) => {
+                    let sh = &mut self.shards[s as usize];
+                    if sh.wake_at.is_some_and(|w| w <= now) {
+                        sh.wake_at = None;
+                    }
+                    sh.dispatch(&mut self.core, now);
+                }
+                Event::Hedge(id) => self.hedge(id as usize, now),
+                Event::Chaos(idx) => self.chaos(idx as usize, now),
+                Event::Rejoin(s) => self.rejoin(s as usize, now),
+                Event::Scrub { shard, inst } => {
+                    self.shards[shard as usize].scrub(&mut self.core, inst as usize, now)
+                }
+            }
+        }
+
+        let core = self.core;
+        debug_assert!(
+            core.reqs.iter().all(|r| r.verdict.is_some()),
+            "every request must resolve"
+        );
+        let mut summary = core.summary;
+        summary.tenants = core.tenants;
+        for (stats, lat) in summary.tenants.iter_mut().zip(core.tenant_lat) {
+            stats.set_latencies(lat);
+        }
+        // The fleet's latencies are the union of the shards'.
+        let mut latencies = Vec::new();
+        for mut sh in self.shards {
+            let quarantines = sh.quar_accum + sh.pool.total_quarantines();
+            let busy_ns = sh.busy_accum + sh.pool.total_busy_ns();
+            summary.fleet.quarantines += quarantines;
+            summary.fleet.busy_ns += busy_ns;
+            sh.stats.quarantines = quarantines;
+            sh.stats.busy_ns = busy_ns;
+            for inj in &sh.injectors {
+                summary.fleet.resilience.merge(inj.counters());
+            }
+            summary.fleet.integrity.merge(&sh.integrity.stats);
+            latencies.extend_from_slice(&sh.latencies);
+            sh.stats.set_latencies(sh.latencies);
+            summary.shards.push(sh.stats);
+        }
+        summary.fleet.set_latencies(latencies);
+        summary
     }
 }
 
@@ -1011,8 +1242,8 @@ impl Fleet<'_> {
 ///
 /// # Panics
 ///
-/// Panics if the catalog is empty, `cfg.shards == 0`,
-/// `cfg.shard.instances == 0`, or `policies` is non-empty with a length
+/// Panics if the catalog is empty, `cfg.shards` or `cfg.shard.instances`
+/// is 0 or above 65 536, or `policies` is non-empty with a length
 /// different from `tenants`.
 pub fn run_fleet(
     catalog: &PlanCatalog,
@@ -1022,37 +1253,54 @@ pub fn run_fleet(
     cfg: &FleetConfig,
     chaos_plan: &ShardFaultPlan,
 ) -> FleetSummary {
+    simulate(catalog, tenants, policies, duration_ns, cfg, chaos_plan, 1)
+}
+
+/// [`run_fleet`] with an explicit salt for the shards' seeded fault and
+/// silent-corruption streams: shard `s` draws from salt `first_salt + s`.
+/// Fleets use 1; the one-shard service uses 0.
+pub(crate) fn simulate(
+    catalog: &PlanCatalog,
+    tenants: &[TenantSpec],
+    policies: &[TenantPolicy],
+    duration_ns: VirtualNs,
+    cfg: &FleetConfig,
+    chaos_plan: &ShardFaultPlan,
+    first_salt: u64,
+) -> FleetSummary {
     assert!(catalog.num_keys() > 0, "empty catalog");
     assert!(cfg.shards > 0, "fleet needs at least one shard");
+    assert!(
+        cfg.shards <= 1 << 16 && cfg.shard.instances <= 1 << 16,
+        "shard and instance indices must fit in 16 bits"
+    );
     assert!(
         policies.is_empty() || policies.len() == tenants.len(),
         "policies must pair with tenants"
     );
     let default_policy = TenantPolicy::default();
-    let policy = |t: usize| {
-        if policies.is_empty() {
-            &default_policy
-        } else {
-            &policies[t]
-        }
-    };
+    let policy = |t: usize| policies.get(t).unwrap_or(&default_policy);
 
-    let mut reqs = Vec::new();
-    let mut states = Vec::new();
-    let mut events = EventQueue::new();
-    let mut tenant_stats = Vec::with_capacity(tenants.len());
-    for (ti, tenant) in tenants.iter().enumerate() {
-        let arrivals = match policy(ti).window_us {
+    let arrivals: Vec<Vec<VirtualNs>> = tenants
+        .iter()
+        .enumerate()
+        .map(|(ti, tenant)| match policy(ti).window_us {
             Some((start_us, end_us)) => tenant
                 .process
                 .generate_between(start_us * NS_PER_US, (end_us * NS_PER_US).min(duration_ns)),
             None => tenant.process.generate(duration_ns),
-        };
+        })
+        .collect();
+    let offered: usize = arrivals.iter().map(Vec::len).sum();
+    let mut reqs = Vec::with_capacity(offered);
+    let mut events = EventQueue::with_capacity(offered);
+    let mut tenant_stats = Vec::with_capacity(tenants.len());
+    for (ti, (tenant, arrivals)) in tenants.iter().zip(arrivals).enumerate() {
         let mut stats = TenantStats::new(tenant.label, duration_ns);
         for (ai, arrival_ns) in arrivals.into_iter().enumerate() {
             let key = (mix(cfg.seed ^ ((ti as u64) << 40) ^ ai as u64) % catalog.num_keys() as u64)
                 as usize;
-            let id = reqs.len();
+            events.push(arrival_ns, Event::Arrive(reqs.len() as u32));
             reqs.push(Request {
                 tenant: ti,
                 arrival_ns,
@@ -1062,149 +1310,55 @@ pub fn run_fleet(
                 tier_floor: 0,
                 verdict: None,
             });
-            states.push(ReqState {
-                route_key: ((ti as u64) << 40) ^ key as u64,
-                primary: 0,
-                hedged: false,
-                twin: None,
-                copies: 0,
-                failovers: 0,
-            });
             stats.offered += 1;
-            events.push(arrival_ns, Event::Arrive(id));
         }
         tenant_stats.push(stats);
     }
 
     let weights: Vec<u64> = (0..tenants.len()).map(|t| policy(t).weight).collect();
-    let queue_capacity = if cfg.shard.admission {
-        cfg.shard.queue_capacity
-    } else {
-        // The naive baseline queues without bound (capped only to keep
-        // the share arithmetic in range).
-        1 << 32
-    };
     let shards: Vec<Shard> = (0..cfg.shards)
-        .map(|s| Shard {
-            queue: FairQueue::new(cfg.shard.policy, queue_capacity, &weights, cfg.fairness),
-            pool: AcceleratorPool::new(cfg.shard.instances),
-            injectors: build_injectors(
-                &cfg.shard.faults,
-                cfg.shard.instances,
-                cfg.seed,
-                s as u64 + 1,
-            ),
-            integrity: build_integrity(
-                cfg.shard.integrity,
-                &cfg.shard.faults,
-                cfg.shard.instances,
-                cfg.seed,
-                s as u64 + 1,
-            ),
-            inflight: vec![(usize::MAX, 0); cfg.shard.instances],
-            dispatch_seq: 0,
-            wake_at: None,
-            alive: true,
-            epoch: 0,
-            stall_until: 0,
-            stall_factor: 1,
-            catchup_until: 0,
-            busy_accum: 0,
-            quar_accum: 0,
-            stats: ShardStats::default(),
-            latencies: Vec::new(),
-        })
+        .map(|s| Shard::new(s, cfg, &weights, first_salt + s as u64))
         .collect();
-
-    let buckets: Vec<Option<TokenBucket>> = (0..tenants.len())
+    let buckets = (0..tenants.len())
         .map(|t| {
             policy(t)
                 .bucket
                 .map(|(rate, burst)| TokenBucket::new(rate, burst))
         })
         .collect();
-
     let chaos = chaos_plan.schedule(cfg.shards, duration_ns);
     for (i, ev) in chaos.iter().enumerate() {
-        events.push(ev.at_ns, Event::Chaos(i));
+        events.push(ev.at_ns, Event::Chaos(i as u32));
     }
 
-    let offered = reqs.len() as u64;
-    let mut fleet = Fleet {
-        catalog,
+    Fleet {
+        core: Core {
+            catalog,
+            cfg: &cfg.shard,
+            reqs,
+            states: vec![ReqState::default(); offered],
+            events,
+            summary: FleetSummary {
+                fleet: ServiceSummary::for_run(
+                    duration_ns,
+                    cfg.shards * cfg.shard.instances,
+                    offered as u64,
+                ),
+                ..FleetSummary::default()
+            },
+            tenants: tenant_stats,
+            tenant_lat: vec![Vec::new(); tenants.len()],
+            resolved: 0,
+            traced: telemetry::active(),
+        },
         cfg,
         ring: HashRing::new(cfg.shards, cfg.vnodes_per_shard, cfg.seed),
-        reqs,
-        states,
         shards,
         buckets,
-        events,
         chaos,
-        summary: FleetSummary {
-            fleet: ServiceSummary::for_run(duration_ns, cfg.shards * cfg.shard.instances, offered),
-            ..FleetSummary::default()
-        },
-        tenants: tenant_stats,
-        tenant_lat: vec![Vec::new(); tenants.len()],
-        latencies: Vec::new(),
-        resolved: 0,
-    };
-
-    while let Some((now, ev)) = fleet.events.pop() {
-        telemetry::set_time(now);
-        match ev {
-            Event::Arrive(id) => fleet.arrive(id, now),
-            Event::Enqueue { shard, req } => fleet.re_enqueue(shard, req, now),
-            Event::Complete {
-                shard,
-                inst,
-                req,
-                epoch,
-                tier,
-                token,
-                fault,
-                voted,
-            } => {
-                fleet.complete(shard, inst, req, epoch, tier, token, fault, voted, now);
-                fleet.dispatch(shard, now);
-            }
-            Event::Wake(s) => {
-                if fleet.shards[s].wake_at.is_some_and(|w| w <= now) {
-                    fleet.shards[s].wake_at = None;
-                }
-                fleet.dispatch(s, now);
-            }
-            Event::Hedge(id) => fleet.hedge(id, now),
-            Event::Chaos(idx) => fleet.chaos(idx, now),
-            Event::Rejoin(s) => fleet.rejoin(s, now),
-            Event::Scrub { shard, inst } => fleet.scrub(shard, inst, now),
-        }
+        loads: Vec::with_capacity(cfg.shards),
     }
-
-    debug_assert!(
-        fleet.reqs.iter().all(|r| r.verdict.is_some()),
-        "every request must resolve"
-    );
-
-    let mut summary = fleet.summary;
-    for (t, lat) in fleet.tenant_lat.into_iter().enumerate() {
-        fleet.tenants[t].set_latencies(lat);
-    }
-    summary.tenants = fleet.tenants;
-    for mut sh in fleet.shards {
-        summary.fleet.quarantines += sh.quar_accum + sh.pool.total_quarantines();
-        summary.fleet.busy_ns += sh.busy_accum + sh.pool.total_busy_ns();
-        sh.stats.quarantines = sh.quar_accum + sh.pool.total_quarantines();
-        sh.stats.busy_ns = sh.busy_accum + sh.pool.total_busy_ns();
-        for inj in &sh.injectors {
-            summary.fleet.resilience.merge(inj.counters());
-        }
-        summary.fleet.integrity.merge(&sh.integrity.stats);
-        sh.stats.set_latencies(std::mem::take(&mut sh.latencies));
-        summary.shards.push(sh.stats);
-    }
-    summary.fleet.set_latencies(fleet.latencies);
-    summary
+    .run()
 }
 
 /// [`run_fleet`] with telemetry: installs a `("fleet", stream_index)`

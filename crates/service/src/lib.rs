@@ -20,10 +20,13 @@
 //! * [`catalog`] — every (scene, query, tier) planned once, up front, so
 //!   the event loop knows exact deterministic service times;
 //! * [`request`] — tenants, deadlines, and per-request verdicts;
-//! * [`queue`] — bounded FIFO/EDF queues with deterministic tie-breaks;
+//! * [`queue`] — the FIFO/EDF queue disciplines;
 //! * [`degrade`] — the load-level controller choosing quality tiers;
 //! * [`breaker`] — per-instance circuit breaking (strikes → quarantine);
-//! * [`service`] — the discrete-event loop tying it all together;
+//! * [`integrity`] — silent-corruption defenses: certification,
+//!   suspicion-scored voting, liar benching and scrub readmission;
+//! * [`service`] — the shard configuration and [`run_service`], the
+//!   single-shard entry point;
 //! * [`metrics`] — goodput, miss rate, exact p50/p99/p999, tier mix.
 //!
 //! One shard is still one blast radius, so the service scales out into a
@@ -31,12 +34,14 @@
 //!
 //! * [`ring`] — consistent-hash ring with bounded-load
 //!   power-of-two-choices spill (minimal key movement on shard death);
-//! * [`tenant`] — per-tenant token-bucket admission and weighted fair
-//!   queueing, so one abusive tenant degrades only itself;
-//! * [`fleet`] — N shards under seeded shard-failure chaos
-//!   (`mp_sim::fault::ShardFaultPlan`): crash failover with re-enqueue
-//!   budgets, rejoin catch-up throttling, and deadline-aware hedged
-//!   requests with first-response-wins cancellation.
+//! * [`tenant`] — per-tenant token-bucket admission and the bounded shard
+//!   queue, weighted-fair across tenants when fairness is on;
+//! * [`fleet`] — the crate's only discrete-event loop: N shards under
+//!   seeded shard-failure chaos (`mp_sim::fault::ShardFaultPlan`), with
+//!   crash failover under re-enqueue budgets, rejoin catch-up
+//!   throttling, and deadline-aware hedged requests with
+//!   first-response-wins cancellation. [`run_service`] is a one-shard
+//!   fleet with hedging, failover and fairness off.
 //!
 //! Every run is a pure function of its configuration: seeded arrival
 //! streams (`mp_sim::arrival`), seeded per-instance fault injectors
@@ -65,7 +70,7 @@ pub use degrade::DegradeConfig;
 pub use fleet::{run_fleet, run_fleet_traced, FailoverConfig, FleetConfig, HedgeConfig};
 pub use integrity::{IntegrityConfig, IntegrityState, IntegrityStats};
 pub use metrics::{FleetSummary, ServiceSummary, ShardStats, TenantStats};
-pub use queue::{QueuePolicy, RequestQueue};
+pub use queue::QueuePolicy;
 pub use request::{Request, ShedReason, TenantSpec, Verdict};
 pub use ring::HashRing;
 pub use service::{run_service, run_service_traced, FaultProfile, RetryConfig, ServiceConfig};

@@ -88,11 +88,9 @@ impl ServiceSummary {
     }
 
     /// Stores and sorts the served-request latencies.
-    pub fn set_latencies(&mut self, mut latencies_ns: Vec<VirtualNs>) {
-        latencies_ns.sort_unstable();
-        let mut hist = HistSnapshot::new();
-        hist.observe_all(&latencies_ns);
-        self.latency_hist = hist;
+    pub fn set_latencies(&mut self, latencies_ns: Vec<VirtualNs>) {
+        self.latency_hist = HistSnapshot::from_samples(latencies_ns);
+        self.latency_hist.sort();
     }
 
     /// The served-latency distribution (ns).
@@ -293,12 +291,10 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// Stores and sorts this shard's served-request latencies.
-    pub fn set_latencies(&mut self, mut latencies_ns: Vec<VirtualNs>) {
-        latencies_ns.sort_unstable();
-        let mut hist = HistSnapshot::new();
-        hist.observe_all(&latencies_ns);
-        self.latency_hist = hist;
+    /// Stores this shard's served-request latencies unsorted; percentile
+    /// queries sort on demand.
+    pub fn set_latencies(&mut self, latencies_ns: Vec<VirtualNs>) {
+        self.latency_hist = HistSnapshot::from_samples(latencies_ns);
     }
 
     /// 99.9th-percentile latency this shard served (µs); 0 when idle.
@@ -345,12 +341,10 @@ impl TenantStats {
         }
     }
 
-    /// Stores and sorts this tenant's served-request latencies.
-    pub fn set_latencies(&mut self, mut latencies_ns: Vec<VirtualNs>) {
-        latencies_ns.sort_unstable();
-        let mut hist = HistSnapshot::new();
-        hist.observe_all(&latencies_ns);
-        self.latency_hist = hist;
+    /// Stores this tenant's served-request latencies unsorted; percentile
+    /// queries sort on demand.
+    pub fn set_latencies(&mut self, latencies_ns: Vec<VirtualNs>) {
+        self.latency_hist = HistSnapshot::from_samples(latencies_ns);
     }
 
     /// On-time completions per arrival-window second.

@@ -1,9 +1,4 @@
-//! Bounded, deadline-aware request queues.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use mp_sim::vtime::VirtualNs;
+//! Queue disciplines for the shard queues ([`crate::tenant::FairQueue`]).
 
 /// Queue discipline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,98 +16,5 @@ impl QueuePolicy {
             QueuePolicy::Fifo => "fifo",
             QueuePolicy::Edf => "edf",
         }
-    }
-}
-
-/// A bounded priority queue of request ids. Under FIFO the priority is the
-/// insertion sequence; under EDF it is the absolute deadline with the
-/// insertion sequence as a deterministic tie-break.
-#[derive(Clone, Debug)]
-pub struct RequestQueue {
-    policy: QueuePolicy,
-    // (priority, seq, request id) min-heap.
-    heap: BinaryHeap<Reverse<(VirtualNs, u64, usize)>>,
-    seq: u64,
-}
-
-impl RequestQueue {
-    /// An empty queue with the given discipline.
-    pub fn new(policy: QueuePolicy) -> RequestQueue {
-        RequestQueue {
-            policy,
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// The queue discipline.
-    pub fn policy(&self) -> QueuePolicy {
-        self.policy
-    }
-
-    /// Enqueues request `id` with the given absolute deadline.
-    pub fn push(&mut self, id: usize, deadline_ns: VirtualNs) {
-        let seq = self.seq;
-        self.seq += 1;
-        let prio = match self.policy {
-            QueuePolicy::Fifo => seq,
-            QueuePolicy::Edf => deadline_ns,
-        };
-        self.heap.push(Reverse((prio, seq, id)));
-    }
-
-    /// Removes and returns the highest-priority request id.
-    pub fn pop(&mut self) -> Option<usize> {
-        self.heap.pop().map(|Reverse((_, _, id))| id)
-    }
-
-    /// Queued requests.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fifo_pops_in_arrival_order_regardless_of_deadline() {
-        let mut q = RequestQueue::new(QueuePolicy::Fifo);
-        q.push(10, 900);
-        q.push(11, 100);
-        q.push(12, 500);
-        assert_eq!([q.pop(), q.pop(), q.pop()], [Some(10), Some(11), Some(12)]);
-    }
-
-    #[test]
-    fn edf_pops_earliest_deadline_with_stable_ties() {
-        let mut q = RequestQueue::new(QueuePolicy::Edf);
-        q.push(10, 900);
-        q.push(11, 100);
-        q.push(12, 500);
-        q.push(13, 100); // same deadline as 11: insertion order breaks it
-        assert_eq!(
-            [q.pop(), q.pop(), q.pop(), q.pop()],
-            [Some(11), Some(13), Some(12), Some(10)]
-        );
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn len_tracks_contents() {
-        let mut q = RequestQueue::new(QueuePolicy::Edf);
-        assert_eq!(q.len(), 0);
-        q.push(1, 5);
-        q.push(2, 3);
-        assert_eq!(q.len(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.policy(), QueuePolicy::Edf);
     }
 }

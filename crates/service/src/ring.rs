@@ -21,9 +21,9 @@
 //! Everything is integer arithmetic on seeded hashes: the same ring and
 //! the same loads route the same request identically on any machine.
 
-/// splitmix64-style finalizer; the same mixer the service loop uses for
-/// request-key assignment, duplicated here so the ring stays freestanding.
-fn mix(mut z: u64) -> u64 {
+/// splitmix64-style finalizer: ring placement, route-key hashing, and the
+/// fleet's request-key and fault-stream seeding.
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -103,9 +103,15 @@ impl HashRing {
 
     /// Index into `points` of the first vnode clockwise of `key`'s point.
     fn start(&self, key: u64) -> usize {
+        if self.alive.len() == 1 {
+            return 0; // every vnode is the one shard's
+        }
         let h = mix(self.key_salt ^ key);
-        match self.points.binary_search(&(h, usize::MAX)) {
-            Ok(i) | Err(i) => i % self.points.len(),
+        let i = self.points.partition_point(|&(p, _)| p <= h);
+        if i == self.points.len() {
+            0 // wrap around the circle
+        } else {
+            i
         }
     }
 

@@ -17,9 +17,9 @@
 //!   weight-proportional slice of the queue capacity, so queue-full
 //!   sheds land on the tenant that overflowed, not on its neighbors.
 //!
-//! With fairness disabled the queue degenerates to the single shared
-//! bounded queue of the single-shard service, which keeps the undefended
-//! baseline honest.
+//! With fairness disabled the queue is one shared bounded EDF/FIFO queue:
+//! the discipline of the single-shard service and of the undefended fleet
+//! baseline.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -177,7 +177,7 @@ impl FairQueue {
             QueuePolicy::Fifo => seq,
             QueuePolicy::Edf => deadline_ns,
         };
-        if self.heaps[t].is_empty() {
+        if self.fair && self.heaps[t].is_empty() {
             // A tenant returning from idle resumes at the scheduler's
             // virtual now, not at its stale finish time — the standard
             // start-time reset that keeps WFQ work-conserving.
@@ -192,6 +192,11 @@ impl FairQueue {
     /// with the smallest virtual finish time (ties to the lowest tenant
     /// index), then advances that tenant's finish time by its stride.
     pub fn pop(&mut self) -> Option<usize> {
+        if !self.fair {
+            let Reverse((_, _, id)) = self.heaps[0].pop()?;
+            self.len -= 1;
+            return Some(id);
+        }
         let t = (0..self.heaps.len())
             .filter(|&t| !self.heaps[t].is_empty())
             .min_by_key(|&t| (self.vft[t], t))?;
@@ -288,6 +293,30 @@ mod tests {
             [q.pop(), q.pop(), q.pop(), q.pop()],
             [Some(11), Some(12), Some(10), None]
         );
+    }
+
+    #[test]
+    fn unfair_edf_breaks_deadline_ties_by_insertion_order() {
+        let mut q = FairQueue::new(QueuePolicy::Edf, 8, &[1, 1], false);
+        assert!(q.try_push(0, 10, 900));
+        assert!(q.try_push(1, 11, 100));
+        assert!(q.try_push(0, 12, 500));
+        assert!(q.try_push(1, 13, 100)); // same deadline as 11
+        assert_eq!(q.len(), 4);
+        assert_eq!(
+            [q.pop(), q.pop(), q.pop(), q.pop()],
+            [Some(11), Some(13), Some(12), Some(10)]
+        );
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn unfair_fifo_pops_in_arrival_order_regardless_of_deadline() {
+        let mut q = FairQueue::new(QueuePolicy::Fifo, 8, &[1, 1], false);
+        assert!(q.try_push(1, 10, 900));
+        assert!(q.try_push(0, 11, 100));
+        assert!(q.try_push(1, 12, 500));
+        assert_eq!([q.pop(), q.pop(), q.pop()], [Some(10), Some(11), Some(12)]);
     }
 
     #[test]

@@ -78,6 +78,14 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// An empty queue with room for `capacity` pending events.
+    pub fn with_capacity(capacity: usize) -> EventQueue<E> {
+        EventQueue {
+            heap: BinaryHeap::with_capacity(capacity),
+            seq: 0,
+        }
+    }
+
     /// Schedules `event` at virtual time `at`. Events with equal
     /// timestamps pop in insertion order.
     pub fn push(&mut self, at: VirtualNs, event: E) {

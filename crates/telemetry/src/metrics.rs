@@ -119,6 +119,21 @@ impl HistSnapshot {
         HistSnapshot::default()
     }
 
+    /// A histogram over `samples`, kept as the raw sample store without
+    /// copying (and sorted only if [`HistSnapshot::sort`] is called).
+    pub fn from_samples(samples: Vec<u64>) -> HistSnapshot {
+        let mut buckets = [0; BUCKETS];
+        for &v in &samples {
+            buckets[bucket_index(v)] += 1;
+        }
+        HistSnapshot {
+            sorted: samples.is_sorted(),
+            sum: samples.iter().map(|&v| v as u128).sum(),
+            samples,
+            buckets,
+        }
+    }
+
     /// Records one sample.
     #[inline]
     pub fn observe(&mut self, v: u64) {
@@ -141,7 +156,11 @@ impl HistSnapshot {
 
     /// Merges another histogram's samples into this one.
     pub fn absorb(&mut self, other: &HistSnapshot) {
-        self.observe_all(&other.samples);
+        if self.samples.is_empty() {
+            self.clone_from(other);
+        } else {
+            self.observe_all(&other.samples);
+        }
     }
 
     /// Number of samples.
