@@ -178,11 +178,6 @@ fn bench_kernels(c: &mut Criterion) {
             black_box(obbs.len())
         })
     });
-    g.bench_function("mlp_forward", |b| {
-        // The allocating baseline, kept as the scratch variant's foil.
-        #[allow(deprecated)]
-        b.iter(|| black_box(mlp.forward(black_box(&mlp_input))))
-    });
     g.bench_function("mlp_forward_scratch", |b| {
         b.iter(|| {
             black_box(

@@ -136,7 +136,6 @@ impl CecduSim {
     /// Panics if `pose.dof()` does not match the robot.
     pub fn check_pose(&self, pose: &JointConfig) -> CecduResult {
         assert_eq!(pose.dof(), self.robot.dof(), "configuration DOF mismatch");
-        mp_collision::metrics::record_pose_checks(1);
         #[cfg(feature = "telemetry")]
         let tele_span = mp_telemetry::sampled_span("core", "cecdu_pose");
         let (mut frames, mut obbs) = FK_SCRATCH.with(Cell::take);
@@ -187,11 +186,7 @@ impl CecduSim {
         FK_SCRATCH.set((frames, obbs));
         // +1 cycle for the Result Collector to report back.
         ops.cd_queries += 1;
-        // Feed the process-wide CD energy counters so hardware-model pose
-        // queries show up in `collision::metrics::energy_pj_total` next to
-        // the software oracle's (node reads land in the same small-SRAM
-        // class the software walk bills).
-        mp_collision::metrics::record_pose_work(ops.sram_reads, ops.box_tests, ops.mults);
+        record_pose_metrics(&ops);
         #[cfg(feature = "telemetry")]
         tele_span.end_with(|| {
             mp_telemetry::arg2(
@@ -296,6 +291,15 @@ impl CecduSim {
             faults_injected,
         }
     }
+}
+
+/// Records one hardware-model pose query in the process-wide
+/// `mp_collision::metrics` counters, so CECDU queries show up in
+/// `collision::metrics::energy_pj_total` next to the software oracle's
+/// (node reads land in the same small-SRAM class the software walk bills).
+pub(crate) fn record_pose_metrics(ops: &OpCounter) {
+    mp_collision::metrics::record_pose_checks(1);
+    mp_collision::metrics::record_pose_work(ops.sram_reads, ops.box_tests, ops.mults);
 }
 
 /// Outcome of one fault-injected CECDU pose query.

@@ -15,7 +15,8 @@
 //! * [`intersection_unit`] — the staged separating-axis datapath (Fig 10),
 //!   in multi-cycle and pipelined variants;
 //! * [`mpaccel`] — the full system of Fig 11 (controller, DNN accelerator,
-//!   bus, SAS, CECDU array) replaying planner [`trace`]s;
+//!   bus, SAS, CECDU array) replaying planner [`trace`]s, with repeated
+//!   poses answered from an exact per-replay [`memo`];
 //! * [`fault`] — fault injection across the stack (SRAM upsets, stuck/slow
 //!   units, dropped/corrupted results, saturation) with detection,
 //!   bounded re-dispatch, quarantine, and a conservative oracle voter;
@@ -31,6 +32,7 @@
 pub mod cecdu;
 pub mod fault;
 pub mod intersection_unit;
+pub mod memo;
 pub mod mpaccel;
 pub mod oocd;
 pub mod pool;

@@ -6,7 +6,8 @@ use mp_robot::RobotModel;
 use mp_sim::{EnergyLedger, MpaccelConfig, OpCounter};
 
 use crate::cecdu::CecduSim;
-use crate::sas::{run_sas, CecduCdu, SasConfig};
+use crate::memo::MemoCecdu;
+use crate::sas::{run_sas, SasConfig};
 use crate::trace::{PlannerTrace, TraceEvent};
 
 /// System-level parameters (§5, §7.4).
@@ -116,8 +117,7 @@ impl RunReport {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MpAccelSystem {
-    robot: RobotModel,
-    octree: Octree,
+    cecdu: CecduSim,
     config: SystemConfig,
     sas: SasConfig,
 }
@@ -128,8 +128,7 @@ impl MpAccelSystem {
     pub fn new(robot: RobotModel, octree: Octree, config: SystemConfig) -> MpAccelSystem {
         let sas = SasConfig::mcsp(config.accel.cecdus);
         MpAccelSystem {
-            robot,
-            octree,
+            cecdu: CecduSim::new(robot, octree, config.accel.cecdu),
             config,
             sas,
         }
@@ -148,7 +147,7 @@ impl MpAccelSystem {
 
     /// Replaces the environment octree (sensor update path, Fig 11 step 1).
     pub fn set_octree(&mut self, octree: Octree) {
-        self.octree = octree;
+        self.cecdu.set_octree(octree);
     }
 
     /// Replays a planner trace against the hardware models and returns the
@@ -165,6 +164,12 @@ impl MpAccelSystem {
     /// `ledger.total_energy_pj()` equals the report's bottom-up
     /// `datapath_energy_uj` figure by construction (integer op counters are
     /// summed before pricing; see `mp_sim::ledger`).
+    ///
+    /// Every `CdBatch` of the trace queries one CECDU through a per-pose
+    /// memo ([`crate::memo`]) that lives for this call only: a pose the
+    /// trace already asked for returns its recorded answer, while SAS still
+    /// dispatches and bills the query, so the report and ledger are
+    /// bit-identical to an unmemoized replay.
     pub fn run_trace_ledgered(&self, trace: &PlannerTrace) -> (RunReport, EnergyLedger) {
         // Cold per-trace span: always compiled (a trace replay is not a hot
         // kernel), no-op unless a telemetry sink is installed.
@@ -180,6 +185,7 @@ impl MpAccelSystem {
         let mut report = RunReport::default();
         let mut ledger = EnergyLedger::new();
 
+        let mut cdu = MemoCecdu::new(&self.cecdu);
         for event in &trace.events {
             match event {
                 TraceEvent::NnInference { macs } => {
@@ -211,12 +217,6 @@ impl MpAccelSystem {
                     if motions.is_empty() {
                         continue;
                     }
-                    let sim = CecduSim::new(
-                        self.robot.clone(),
-                        self.octree.clone(),
-                        self.config.accel.cecdu,
-                    );
-                    let mut cdu = CecduCdu::new(sim);
                     let r = run_sas(motions, *mode, &self.sas, &mut cdu);
                     report.cd_cycles += r.cycles;
                     report.cd_queries += r.queries;
@@ -232,10 +232,10 @@ impl MpAccelSystem {
         report.datapath_energy_uj = mp_sim::energy::dynamic_energy_uj(&report.ops);
         tele_span.end_with(|| {
             mp_telemetry::arg2(
-                "cd_cycles",
-                mp_telemetry::ArgValue::U64(report.cd_cycles),
                 "cd_queries",
                 mp_telemetry::ArgValue::U64(report.cd_queries),
+                "memo_hits",
+                mp_telemetry::ArgValue::U64(cdu.hits()),
             )
         });
         (report, ledger)

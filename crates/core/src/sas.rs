@@ -323,8 +323,8 @@ impl SasRunResult {
 }
 
 /// Per-motion scheduling state.
-struct MotionState {
-    descriptor: MotionDescriptor,
+struct MotionState<'m> {
+    descriptor: &'m MotionDescriptor,
     order: Vec<usize>,
     next: usize,
     outstanding: usize,
@@ -332,7 +332,7 @@ struct MotionState {
     result: Option<bool>,
 }
 
-impl MotionState {
+impl MotionState<'_> {
     fn resolved(&self) -> bool {
         self.result.is_some()
     }
@@ -370,7 +370,7 @@ pub fn run_sas(
         .iter()
         .enumerate()
         .map(|(i, d)| MotionState {
-            descriptor: d.clone(),
+            descriptor: d,
             order: cfg.intra.order(d.count, i),
             next: 0,
             outstanding: 0,
@@ -392,6 +392,10 @@ pub fn run_sas(
     let mut queries: u64 = 0;
     let mut ops = OpCounter::default();
     let mut rr_cursor = 0usize; // round-robin over the motion window
+
+    // Per-cycle buffers, reused so the scheduler loop allocates nothing.
+    let mut window: Vec<usize> = Vec::with_capacity(cfg.group_size.min(motions.len()));
+    let mut pose = JointConfig::zeros(0);
 
     let outcome = 'run: loop {
         // 1. Retire completions due at or before t.
@@ -427,22 +431,23 @@ pub fn run_sas(
         }
 
         // 2. Build the dispatch window.
-        let window: Vec<usize> = if cfg.inter_motion {
-            states
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| !m.resolved())
-                .map(|(i, _)| i)
-                .take(cfg.group_size)
-                .collect()
+        window.clear();
+        if cfg.inter_motion {
+            window.extend(
+                states
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, m)| !m.resolved())
+                    .map(|(i, _)| i)
+                    .take(cfg.group_size),
+            );
         } else {
-            states
-                .iter()
-                .enumerate()
-                .find(|(_, m)| m.has_pending() || m.outstanding > 0)
-                .map(|(i, _)| vec![i])
-                .unwrap_or_default()
-        };
+            window.extend(
+                states
+                    .iter()
+                    .position(|m| m.has_pending() || m.outstanding > 0),
+            );
+        }
 
         // 3. Dispatch up to dispatch_per_cycle queries to free CDUs. The
         // slot index only feeds the telemetry CDU-lane events.
@@ -473,7 +478,7 @@ pub fn run_sas(
                 let pose_idx = m.order[m.next];
                 m.next += 1;
                 m.outstanding += 1;
-                let pose = m.descriptor.pose(pose_idx);
+                m.descriptor.pose_into(pose_idx, &mut pose);
                 let resp = cdu.query(&pose);
                 queries += 1;
                 dispatched += 1;

@@ -184,8 +184,10 @@ impl PlannerTrace {
                         Some("complete") => FunctionMode::Complete,
                         other => return Err(err(ln, &format!("unknown batch mode {other:?}"))),
                     };
-                    let n = parse_u64(parts.next(), ln, "batch size")? as usize;
-                    let mut motions = Vec::with_capacity(n);
+                    // The count is untrusted: grow with the motions actually
+                    // present instead of preallocating from it.
+                    let n = parse_u64(parts.next(), ln, "batch size")?;
+                    let mut motions = Vec::new();
                     for _ in 0..n {
                         let Some((mln, mline)) = lines.next() else {
                             return Err(err(ln, "batch truncated"));
@@ -229,7 +231,7 @@ fn parse_motion(line: &str, ln: usize) -> Result<MotionDescriptor, ParseTraceErr
         .map(|t| t.parse())
         .collect::<Result<_, _>>()
         .map_err(|_| err("invalid motion value"))?;
-    if values.len() != 2 * dof || count < 2 {
+    if dof.checked_mul(2) != Some(values.len()) || count < 2 {
         return Err(err("motion line has wrong arity"));
     }
     Ok(MotionDescriptor {
@@ -358,5 +360,20 @@ mod tests {
     fn parse_motion_arity_checked() {
         let text = "solved 0\nbatch complete 1\nmotion 5 2 0.0 1.0 0.1\n"; // missing one value
         assert!(PlannerTrace::from_text(text).is_err());
+    }
+
+    #[test]
+    fn huge_batch_count_is_an_error_not_an_allocation() {
+        let e = PlannerTrace::from_text("solved 1\nbatch feasibility 18446744073709551615")
+            .unwrap_err();
+        assert_eq!(e.message, "batch truncated");
+    }
+
+    #[test]
+    fn huge_motion_dof_is_an_arity_error() {
+        let dof = usize::MAX / 2 + 1;
+        let text = format!("solved 0\nbatch complete 1\nmotion 5 {dof} 0.0 1.0\n");
+        let e = PlannerTrace::from_text(&text).unwrap_err();
+        assert_eq!(e.message, "motion line has wrong arity");
     }
 }

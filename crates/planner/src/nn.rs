@@ -82,18 +82,6 @@ impl Dense {
         }
     }
 
-    /// Forward pass, allocating the output vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != inputs`.
-    #[deprecated(note = "allocates per call; use `forward_into` with a reused buffer")]
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.outputs);
-        self.forward_into(x, &mut out);
-        out
-    }
-
     /// Forward pass into a caller-provided buffer (cleared first) — the
     /// allocation-free form [`Mlp::forward_scratch`] builds on.
     ///
@@ -176,16 +164,6 @@ impl Mlp {
             })
             .collect();
         Mlp { layers }
-    }
-
-    /// Forward inference, allocating fresh buffers per call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the input size does not match the first layer.
-    #[deprecated(note = "allocates per call; use `forward_scratch` with a reused `MlpScratch`")]
-    pub fn forward(&self, x: &[f32]) -> Vec<f32> {
-        self.forward_scratch(x, &mut MlpScratch::default()).to_vec()
     }
 
     /// Forward inference through reusable ping-pong buffers: no per-layer
@@ -336,8 +314,26 @@ mod tests {
         assert_eq!(mlp.forward_scratch(&[0.0; 8], &mut scratch).len(), 4);
     }
 
+    /// Reference dense layer: a fresh output vector per call.
+    fn dense_forward(layer: &Dense, x: &[f32]) -> Vec<f32> {
+        assert_eq!(x.len(), layer.inputs, "layer input size mismatch");
+        (0..layer.outputs)
+            .map(|o| {
+                let row = &layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
+                let z: f32 = row.iter().zip(x).map(|(w, v)| w * v).sum::<f32>() + layer.bias[o];
+                layer.activation.apply(z)
+            })
+            .collect()
+    }
+
+    /// Reference inference: one fresh activation vector per layer.
+    fn mlp_forward(mlp: &Mlp, x: &[f32]) -> Vec<f32> {
+        mlp.layers
+            .iter()
+            .fold(x.to_vec(), |act, layer| dense_forward(layer, &act))
+    }
+
     #[test]
-    #[allow(deprecated)] // the allocating path is the reference under test
     fn scratch_inference_matches_allocating_forward() {
         let mlp = Mlp::new(&[6, 24, 12, 3], Activation::Tanh, 21);
         let mut scratch = MlpScratch::default();
@@ -345,7 +341,7 @@ mod tests {
         // to the allocating path.
         for i in 0..5 {
             let x: Vec<f32> = (0..6).map(|j| ((i * 6 + j) as f32 * 0.37).sin()).collect();
-            let expect = mlp.forward(&x);
+            let expect = mlp_forward(&mlp, &x);
             assert_eq!(mlp.forward_scratch(&x, &mut scratch), expect.as_slice());
         }
     }

@@ -285,6 +285,26 @@ impl MotionDescriptor {
                 .collect(),
         )
     }
+
+    /// [`MotionDescriptor::pose`] into a reused configuration: `out` is
+    /// overwritten with pose `i`, bit-identical to `self.pose(i)`, and
+    /// allocates only if its capacity is smaller than the motion's DOF.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= count`.
+    #[inline]
+    pub fn pose_into(&self, i: usize, out: &mut JointConfig) {
+        assert!(i < self.count, "pose index {i} out of range");
+        out.0.clear();
+        out.0.extend(
+            self.start
+                .as_slice()
+                .iter()
+                .zip(self.delta.as_slice())
+                .map(|(s, d)| s + d * i as f32),
+        );
+    }
 }
 
 #[cfg(test)]
@@ -299,6 +319,24 @@ mod tests {
         let b = JointConfig::new(vec![2.0, 1.0, 1.0]);
         assert_eq!(a.lerp(&b, 0.0), a);
         assert_eq!(a.lerp(&b, 1.0), b);
+    }
+
+    #[test]
+    fn pose_into_reuses_any_buffer() {
+        let d = Motion::new(
+            JointConfig::new(vec![0.1, -0.7, 2.0]),
+            JointConfig::new(vec![0.9, 0.3, -1.0]),
+        )
+        .descriptor(0.05);
+        let mut out = JointConfig::zeros(7);
+        for i in (0..d.count).rev() {
+            d.pose_into(i, &mut out);
+            let want = d.pose(i);
+            assert_eq!(out.dof(), want.dof());
+            for (v, w) in out.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(v.to_bits(), w.to_bits());
+            }
+        }
     }
 
     #[test]
